@@ -310,6 +310,12 @@ impl FlatChunk {
 ///   reorg tail case). Readers merge them after the frozen list; order
 ///   stays minting order because freezing captures the list under the
 ///   same lock mints push through.
+/// * `work` holds, per shard, the index of the first spine chunk not yet
+///   retired. Chunks are retired in spine order and each exactly once:
+///   every chunk below a shard's cursor lies wholly below `count` and is
+///   null forever after, because no chunk is ever (re)installed for a
+///   slot range wholly below `count` — its installer owns a not-yet-ready
+///   id in that range, and the flattener never passes an unready id.
 struct FlatTier {
     spine: [AtomicPtr<FlatChunk>; SPINE],
     /// Ids below this are flattened (published Release, read Acquire).
@@ -320,17 +326,19 @@ struct FlatTier {
     /// in minting order.
     late_kids: Mutex<HashMap<u32, Vec<BlockId>>>,
     /// Single-flattener ticket: `try_lock` and do bounded work, or leave.
-    work: Mutex<()>,
+    /// Holds the per-shard retirement cursors (first unretired spine
+    /// chunk), which only the ticket holder reads or advances.
+    work: Mutex<Box<[u8]>>,
 }
 
 impl FlatTier {
-    fn new() -> FlatTier {
+    fn new(shards: usize) -> FlatTier {
         FlatTier {
             spine: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
             count: AtomicU32::new(0),
             target: AtomicU32::new(0),
             late_kids: Mutex::new(HashMap::new()),
-            work: Mutex::new(()),
+            work: Mutex::new(vec![0; shards].into_boxed_slice()),
         }
     }
 
@@ -525,10 +533,17 @@ fn insert_sorted(list: &mut Vec<BlockId>, id: BlockId) {
 
 impl Shard {
     /// The chunk covering `slot`, installing it first if nobody has.
-    fn chunk_for_write(&self, slot: usize) -> (&Chunk, usize) {
+    /// `retired(k)` says whether chunk `k` lies wholly below the flat
+    /// frontier; it is only consulted by a debug assertion, since the
+    /// retirement cursor relies on no such chunk ever being installed.
+    fn chunk_for_write(&self, slot: usize, retired: impl FnOnce(usize) -> bool) -> (&Chunk, usize) {
         let (k, off) = chunk_of(slot);
         let p = self.spine[k].load(Ordering::Acquire);
         let chunk = if p.is_null() {
+            debug_assert!(
+                !retired(k),
+                "spine chunk {k} installed below the flat frontier"
+            );
             let fresh = Box::into_raw(Box::new(Chunk::new(1 << k)));
             match self.spine[k].compare_exchange(
                 std::ptr::null_mut(),
@@ -648,7 +663,7 @@ impl ShardedStore {
             shards: (0..shards).map(|_| Shard::default()).collect(),
             gens: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             high: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            flat: FlatTier::new(),
+            flat: FlatTier::new(shards),
             reclaim: EpochDomain::new(),
             flatten_capable,
             next_id: AtomicU32::new(1),
@@ -691,7 +706,9 @@ impl ShardedStore {
     fn install_entry(&self, id: BlockId, entry: Entry) {
         let shard_idx = self.shard_of(id);
         let slot = self.slot_of(id);
-        let (chunk, off) = self.shards[shard_idx].chunk_for_write(slot);
+        let (chunk, off) = self.shards[shard_idx].chunk_for_write(slot, |k| {
+            self.chunk_below(shard_idx, k, self.flat.count.load(Ordering::Acquire))
+        });
         // SAFETY: this thread owns `id` (it came from our fetch_add, or
         // construction-time genesis), so no other writer touches the
         // slot, and no reader looks before the `ready` publication.
@@ -1189,7 +1206,7 @@ impl ShardedStore {
         if self.flat.count.load(Ordering::Relaxed) >= bound {
             return 0;
         }
-        let Some(_ticket) = self.flat.work.try_lock() else {
+        let Some(mut cursors) = self.flat.work.try_lock() else {
             return 0; // another thread is flattening right now
         };
         // Sole flattener from here: `count` cannot move under us.
@@ -1251,29 +1268,38 @@ impl ShardedStore {
             // One Release store publishes the whole batch to lock-free
             // readers (`id < count` ⇒ slots initialized).
             self.flat.count.store(next, Ordering::Release);
-            self.retire_covered_chunks(next);
+            self.retire_covered_chunks(&mut cursors, next);
         }
         (next - start) as usize
     }
 
-    /// Retires every spine chunk whose id range lies wholly below
-    /// `frontier` (all its blocks are readable from the slab). The swap
-    /// to null unpublishes the chunk; in-flight readers that loaded the
-    /// pointer earlier are covered by their `walk_guard` pin — the epoch
-    /// domain frees the box only after their grace period passes.
-    fn retire_covered_chunks(&self, frontier: u32) {
+    /// Whether spine chunk `k` of shard `s` lies wholly below `frontier`
+    /// (an exclusive id): its largest id is that of slot `2^(k+1) - 2`.
+    fn chunk_below(&self, s: usize, k: usize, frontier: u32) -> bool {
+        let hi_slot = (1u64 << (k + 1)) - 2;
+        (hi_slot << self.shift) | (s as u64) < frontier as u64
+    }
+
+    /// Retires the spine chunks that have newly fallen wholly below
+    /// `frontier` (all their blocks are readable from the slab): each
+    /// shard resumes at its cursor, so every chunk is swapped out exactly
+    /// once and a frontier that crosses no chunk boundary touches no
+    /// spine pointer. The swap to null unpublishes the chunk; in-flight
+    /// readers that loaded the pointer earlier are covered by their
+    /// `walk_guard` pin — the epoch domain frees the box only after their
+    /// grace period passes.
+    fn retire_covered_chunks(&self, cursors: &mut [u8], frontier: u32) {
         let mut retired_any = false;
-        for (s, shard) in self.shards.iter().enumerate() {
-            for k in 0..SPINE {
-                // Largest id the chunk covers: its last slot is 2^(k+1)-2.
-                let hi_slot = (1u64 << (k + 1)) - 2;
-                let hi_id = (hi_slot << self.shift) | s as u64;
-                if hi_id >= frontier as u64 {
-                    break; // later chunks cover even larger ids
-                }
+        for (s, (shard, cursor)) in self.shards.iter().zip(cursors.iter_mut()).enumerate() {
+            while (*cursor as usize) < SPINE && self.chunk_below(s, *cursor as usize, frontier) {
+                let k = *cursor as usize;
+                *cursor += 1;
                 let p = shard.spine[k].swap(std::ptr::null_mut(), Ordering::AcqRel);
+                // Every id of the chunk was flattened, which needs its
+                // entry, so the chunk was installed.
+                debug_assert!(!p.is_null(), "covered spine chunk {k} never installed");
                 if p.is_null() {
-                    continue; // never installed, or already retired
+                    continue;
                 }
                 let bytes = (1usize << k) * (std::mem::size_of::<Entry>() + 1);
                 // SAFETY: the install site leaked exactly this box, and
@@ -2578,6 +2604,13 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
     /// consistent with `read()` now that publication trails the
     /// membership insert by a pipeline stage. Takes the selection lock
     /// briefly for the position lookup.
+    ///
+    /// A publication swaps the chain pointer *before* it stores
+    /// `published_upto`, so a reader may already hold a chain containing
+    /// `id` while the counter lags. A member the counter does not cover
+    /// yet is therefore also probed on the published chain (the same
+    /// lock-free probe [`wait_committed`](Self::wait_committed) uses):
+    /// whatever `read()` shows, this answers `true` for.
     pub fn is_committed(&self, id: BlockId) -> bool {
         if id == BlockId::GENESIS {
             return true;
@@ -2586,7 +2619,11 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
             let sel = self.sel.lock();
             sel.log_pos.get(id.0 as usize).copied().unwrap_or(0)
         };
-        pos != 0 && self.published_upto.load(Ordering::Acquire) >= pos as u64
+        if pos == 0 {
+            return false;
+        }
+        self.published_upto.load(Ordering::Acquire) >= pos as u64
+            || self.read().ids().get(self.store.meta(id).height as usize) == Some(&id)
     }
 
     /// Decide-path hook: blocks until `id` is committed to the membership
@@ -3814,6 +3851,41 @@ mod tests {
         assert!(!bt.wait_committed(orphan, deadline));
     }
 
+    /// Whatever `read()` shows is committed: a publication swaps the
+    /// chain in before it advances `published_upto`, and a reader caught
+    /// in that window must still get `true` from `is_committed`. Release
+    /// builds race hard enough to land in the window many times a run.
+    #[test]
+    fn is_committed_agrees_with_read_under_appenders() {
+        let bt = ConcurrentBlockTree::new(LongestChain, AcceptAll);
+        let per_thread = if cfg!(debug_assertions) {
+            2_000
+        } else {
+            200_000
+        };
+        let done = std::sync::atomic::AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for t in 0..2u32 {
+                let (bt, done) = (&bt, &done);
+                s.spawn(move || {
+                    for i in 0..per_thread {
+                        let nonce = (t as u64) << 32 | i;
+                        bt.append(CandidateBlock::simple(ProcessId(t), nonce))
+                            .unwrap();
+                    }
+                    done.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+            while done.load(Ordering::SeqCst) < 2 {
+                let tip = bt.read().tip();
+                assert!(
+                    bt.is_committed(tip),
+                    "read() showed {tip}, is_committed denies it"
+                );
+            }
+        });
+    }
+
     #[test]
     fn concurrent_appenders_commit_every_block_exactly_once() {
         let bt = ConcurrentBlockTree::new(LongestChain, AcceptAll);
@@ -4128,6 +4200,38 @@ mod tests {
         assert_eq!(store.ancestor_at(prev, 0), BlockId::GENESIS);
         assert_eq!(store.ancestor_at(prev, 1234), BlockId(1234));
         assert!(store.is_ancestor(BlockId(1), prev));
+    }
+
+    /// The retirement cursor swaps out each spine chunk exactly once, as
+    /// soon as its id range falls wholly below the flat frontier — and a
+    /// flatten call that moves no frontier retires nothing.
+    #[test]
+    fn retirement_cursor_retires_each_covered_chunk_once() {
+        let store = ShardedStore::with_flattening(16);
+        let mut prev = BlockId::GENESIS;
+        for i in 0..20_000u64 {
+            prev = store.mint(prev, ProcessId(0), 0, 1, i, Payload::Empty);
+        }
+        let covered = |frontier: u32| {
+            (0..store.shard_count())
+                .flat_map(|s| (0..SPINE).map(move |k| (s, k)))
+                .filter(|&(s, k)| store.chunk_below(s, k, frontier))
+                .count() as u64
+        };
+        let dom = store.reclaim_domain();
+        let retired = || dom.pending_items() as u64 + dom.reclaimed_items();
+        // Frontiers on and off chunk boundaries, flattened in small steps.
+        for target in [1, 17, 300, 4_111, 12_345, 19_000] {
+            store.raise_flatten_target(target);
+            while store.flatten_some(97) > 0 {}
+            assert_eq!(store.flattened_count(), target);
+            assert_eq!(retired(), covered(target), "frontier {target}");
+        }
+        for _ in 0..1_000 {
+            assert_eq!(store.flatten_some(64), 0, "frontier unmoved");
+        }
+        assert_eq!(retired(), covered(19_000), "no chunk retired twice");
+        assert_eq!(store.ancestor_at(prev, 5_000), BlockId(5_000));
     }
 
     #[test]

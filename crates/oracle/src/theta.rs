@@ -19,7 +19,8 @@ use crate::merit::Merits;
 use crate::tape::Tape;
 use btadt_core::hierarchy::OracleModel;
 use btadt_core::ids::{mix2, BlockId};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// The fork bound `k` of the oracle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,6 +53,33 @@ pub struct TokenGrant {
     pub merit_index: u32,
 }
 
+/// Multiplicative (Fibonacci) hashing for dense [`BlockId`] keys. Block ids
+/// come from the store's one counter, never from outside input, so no key
+/// is crafted to collide, and a single odd multiply spreads them over the
+/// table's low bits and its high control bits alike. `K[h]` lookups sit on
+/// every contested Protocol A round, where SipHash dominated the oracle's
+/// critical section.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.0 = (self.0 ^ x as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(b as u32);
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The Θ oracle state: merit tapes + the `K[]` array of bounded sets.
 #[derive(Clone, Debug)]
 pub struct ThetaOracle {
@@ -60,13 +88,12 @@ pub struct ThetaOracle {
     rate: f64,
     tapes: Vec<Tape>,
     /// `K[h]`: blocks whose token for parent `h` was consumed.
-    consumed: HashMap<BlockId, Vec<BlockId>>,
-    /// Serial counter (token identity source).
-    next_serial: u64,
-    /// Tokens already consumed (each token is consumable at most once).
-    spent: HashSet<u64>,
-    /// Outstanding grants: serial → parent it was granted for.
-    grants: HashMap<u64, BlockId>,
+    consumed: HashMap<BlockId, Vec<BlockId>, BuildHasherDefault<IdHasher>>,
+    /// Every grant ever made, indexed by its serial (serials are dense, so
+    /// the next serial is the table's length): the parent the token was
+    /// granted for, and whether it has been consumed (each token is
+    /// consumable at most once).
+    tokens: Vec<(BlockId, bool)>,
 }
 
 impl ThetaOracle {
@@ -93,10 +120,8 @@ impl ThetaOracle {
             merits,
             rate,
             tapes,
-            consumed: HashMap::new(),
-            next_serial: 0,
-            spent: HashSet::new(),
-            grants: HashMap::new(),
+            consumed: HashMap::default(),
+            tokens: Vec::new(),
         }
     }
 
@@ -128,9 +153,8 @@ impl ThetaOracle {
     pub fn get_token(&mut self, merit_index: usize, parent: BlockId) -> Option<TokenGrant> {
         let cell = self.tapes[merit_index].pop();
         if cell.is_token() {
-            let serial = self.next_serial;
-            self.next_serial += 1;
-            self.grants.insert(serial, parent);
+            let serial = self.tokens.len() as u64;
+            self.tokens.push((parent, false));
             Some(TokenGrant {
                 parent,
                 serial,
@@ -146,14 +170,19 @@ impl ThetaOracle {
     /// `|K[parent]| < k`; in every case returns `get(K, h)` — the current
     /// contents of `K[parent]`.
     pub fn consume_token(&mut self, grant: &TokenGrant, block: BlockId) -> Vec<BlockId> {
-        let genuine = self.grants.get(&grant.serial) == Some(&grant.parent);
-        let unspent = !self.spent.contains(&grant.serial);
-        if genuine && unspent {
-            self.spent.insert(grant.serial);
+        // Genuine: the serial was granted, for this parent. Serials past
+        // the table (forged, or beyond `usize`) find no entry.
+        let unspent = usize::try_from(grant.serial)
+            .ok()
+            .and_then(|i| self.tokens.get_mut(i))
+            .filter(|(parent, spent)| *parent == grant.parent && !*spent);
+        if let Some((_, spent)) = unspent {
+            *spent = true;
             let set = self.consumed.entry(grant.parent).or_default();
             if self.k.admits(set.len()) {
                 set.push(block);
             }
+            return set.clone();
         }
         self.consumed_for(grant.parent).to_vec()
     }
@@ -170,12 +199,13 @@ impl ThetaOracle {
 
     /// Number of tokens granted so far.
     pub fn tokens_granted(&self) -> u64 {
-        self.next_serial
+        self.tokens.len() as u64
     }
 
-    /// Number of tokens consumed so far.
+    /// Number of tokens consumed so far. O(tokens granted): a probe for
+    /// experiments and tests, not for the decide path.
     pub fn tokens_consumed(&self) -> usize {
-        self.spent.len()
+        self.tokens.iter().filter(|(_, spent)| *spent).count()
     }
 
     /// Def. 3.9 / Thm. 3.2: no object ever has more than `k` consumed
@@ -277,6 +307,19 @@ mod tests {
         };
         let s = o.consume_token(&forged, BlockId(1));
         assert!(s.is_empty());
+        // The token table is indexed by serial: one past its end and the
+        // largest serial must both miss it, not index out of bounds.
+        o.get_token(0, BlockId::GENESIS).unwrap();
+        for serial in [o.tokens_granted(), u64::MAX] {
+            let forged = TokenGrant {
+                parent: BlockId::GENESIS,
+                serial,
+                merit_index: 0,
+            };
+            let s = o.consume_token(&forged, BlockId(2));
+            assert!(s.is_empty(), "serial {serial} was never granted");
+        }
+        assert_eq!(o.tokens_consumed(), 0);
     }
 
     #[test]
