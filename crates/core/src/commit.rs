@@ -6,11 +6,12 @@
 //! one boxed-chain publication *per append* — which is why append
 //! throughput stayed flat from 1 to 8 threads. The queue below is the
 //! *contended* path only: an appender whose `try_lock` on the selection
-//! mutex succeeds first time commits inline — no request node, no queue
-//! push, no status-word roundtrip (see `ConcurrentBlockTree::append`) —
-//! so the fixed cost below is paid exactly when a drainer is already at
-//! work and batching pays for it. The pipeline splits a contended append
-//! into stages:
+//! mutex succeeds first time commits inline — its stack request is
+//! resolved in place and never pushed, so there is no queue traffic and
+//! no cross-thread status roundtrip (see `ConcurrentBlockTree::append`)
+//! — and the fixed cost below is paid exactly when a drainer is already
+//! at work and batching pays for it. The pipeline splits a contended
+//! append into stages:
 //!
 //! 1. **Mint** (parallel, no locks): the appender mints its candidate
 //!    against the published tip and pre-validates it, exactly as before.
@@ -19,8 +20,9 @@
 //!    the whole pending list with one `swap`.
 //! 3. **Drain** (one winner): whichever enqueued appender acquires the
 //!    selection mutex — one CAS when uncontended, so the solo-appender
-//!    path pays nothing extra — drains the queue as a batch: membership
-//!    insert + incremental `on_insert` re-selection per request, then a
+//!    path pays nothing extra — drains the queue as a batch: mint
+//!    resolution + membership insert per request, then one batched
+//!    selection-scoring pass (`crate::selection::batch_score`) and a
 //!    *single* chain publication for the whole batch. Contended
 //!    appenders park on the mutex (no spin convoy); the incumbent
 //!    drainer usually resolves them before they wake, and a woken
@@ -262,6 +264,10 @@ impl CommitQueue {
 /// selection scoring, `publish_ns` wall time holding the publication
 /// (stage-2) lock — so the bench can report the in-lock share of a
 /// contended drain and prove the publication critical section shrank.
+/// One timer rule governs all three: they clock exactly the commit
+/// episodes that drained queued requests, i.e. the work behind
+/// `batched_appends`. Episodes that took nothing off the queue —
+/// uncontended inline appends and grafts — run unclocked.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PipelineStats {
     /// Non-empty drain passes.
@@ -278,10 +284,11 @@ pub struct PipelineStats {
     /// outside the publication lock; filled in by the tree).
     pub score_ns: u64,
     /// Wall nanoseconds holding the publication lock (stage 2: WAL group
-    /// commit + chain splice + pointer swap; filled in by the tree).
+    /// commit + chain splice + pointer swap) in episodes that drained
+    /// queued requests (filled in by the tree).
     pub publish_ns: u64,
-    /// Wall nanoseconds holding the stage-1 drain (selection) lock
-    /// (filled in by the tree).
+    /// Wall nanoseconds holding the selection (stage-1) lock in episodes
+    /// that drained queued requests (filled in by the tree).
     pub drain_lock_ns: u64,
 }
 

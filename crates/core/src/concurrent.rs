@@ -26,21 +26,23 @@
 //!   pre-validates against the published tip outside any lock, *moving*
 //!   its payload into the arena (the append path clones nothing). If the
 //!   selection mutex is free on the first CAS, the append commits
-//!   **inline** — no request node, no queue traffic, no status-word
-//!   roundtrip: the uncontended path costs the mint plus one lock.
-//!   Otherwise a drainer is at work: the append *enqueues* a commit
-//!   request on a lock-free MPSC queue, and whichever enqueued appender
-//!   acquires the selection mutex next (contended appenders park and are
-//!   usually resolved by the incumbent — a combining lock) drains the
-//!   queue as a batch. **Stage 1**, under the selection lock: mint
-//!   resolution (a request whose optimistic parent lost the race is
+//!   **inline** — its request is resolved in place, never pushed: no
+//!   queue traffic, no cross-thread status roundtrip, so the uncontended
+//!   path costs the mint plus one lock. Otherwise a drainer is at work:
+//!   the append *enqueues* its request on a lock-free MPSC queue, and
+//!   whichever enqueued appender acquires the selection mutex next
+//!   (contended appenders park and are usually resolved by the incumbent
+//!   — a combining lock) drains the queue as a batch. Inline appends,
+//!   queued drains and grafts all run the same **commit episode**, which
+//!   takes whatever queued first. **Stage 1**, under the selection lock:
+//!   mint resolution (a request whose optimistic parent lost the race is
 //!   re-minted under the authoritative tip, payload read back from the
 //!   orphan — the only copy, on the slow path only), membership inserts,
 //!   and *batched* selection scoring — the batch's inserts are
 //!   partitioned by genesis-child subtree, scored per shard into
 //!   mergeable partials, folded with the associative
 //!   `AuxPartial::merge`, and applied to the selection aux once
-//!   (`crate::selection::batch_score`). The drainer then *stages* a
+//!   (`crate::selection::batch_score`). The episode then *stages* a
 //!   publication record and releases the selection lock. **Stage 2**,
 //!   under a separate publication lock: the WAL group-commit append
 //!   (persist-then-ack), the in-place chain splice, and the boxed-chain
@@ -115,23 +117,13 @@ use std::collections::{HashMap, VecDeque};
 /// Default shard count for [`ShardedStore`] (must be a power of two).
 pub const DEFAULT_SHARDS: usize = 16;
 
-/// Floor of the adaptive reclamation threshold: commit paths attempt an
-/// epoch advance + bag sweep only once at least this many retirees are
-/// pending, so reclamation cost is amortized over many commits while the
-/// backlog stays a small constant (the churn stress asserts the bound
-/// from the outside).
-const RECLAIM_PENDING_MIN: usize = 32;
-
-/// Cap of the adaptive threshold. One snapshot box is retired per
-/// *publication*, so the pending count grows at the publication rate:
-/// under contention a batch of B appends retires once and the [`
-/// RECLAIM_PENDING_MIN`] floor already spaces sweeps ~B·32 appends apart,
-/// but on the uncontended inline path every append publishes (B = 1) and
-/// a static threshold would sweep 8× as often per append. The threshold
-/// scales inversely with the observed mean batch size, clamped here, so
-/// the sweep cost per *append* stays roughly constant across contention
-/// regimes — and the worst-case backlog stays a few hundred boxes.
-const RECLAIM_PENDING_MAX: usize = 256;
+/// Reclamation threshold: commit paths attempt an epoch advance + bag
+/// sweep only once at least this many retirees are pending, so the sweep
+/// cost is amortized over many commits while the backlog stays a few
+/// hundred boxes (the churn stress asserts the bound from the outside).
+/// One snapshot box is retired per *publication*, so batched commits
+/// only space sweeps further apart per append.
+const RECLAIM_PENDING: usize = 256;
 
 struct Entry {
     block: Block,
@@ -1826,31 +1818,40 @@ struct PubBatch {
     ids: Vec<BlockId>,
 }
 
-/// An inline publication claim: the appender found the publication lock
-/// free (one non-blocking try, made while still holding the selection
-/// lock) and owns stage 2 outright — its batch, appended after whatever
-/// the staged queue held, publishes directly once the selection lock
-/// drops, with no queue push and no second staged-mutex round trip.
-struct ClaimedPub<'t> {
-    publ: crate::sync::MutexGuard<'t, PubState>,
-    /// The run to publish, in commit-log order; the claimant's own batch
-    /// is last.
-    batches: Vec<PubBatch>,
+/// The publication lock claimed inside `sel` by an uncontended append
+/// (one non-blocking try), with the run it publishes in commit-log
+/// order: everything staged before, then the claimant's own batch.
+type Claim<'t> = (crate::sync::MutexGuard<'t, PubState>, Vec<PubBatch>);
+
+/// What the caller of a commit episode brings to the selection lock
+/// besides whatever queued.
+enum Own<'r> {
+    /// Nothing: a woken queued appender, whose request rides in the
+    /// queue like any other.
+    Queued,
+    /// The caller's uncontended append: its stack request, resolved
+    /// after the queued ones exactly as a drainer resolves them, but
+    /// never pushed.
+    Append(&'r CommitReq),
+    /// The caller's graft of a minted block under its committed parent.
+    Graft { id: BlockId, parent: BlockId },
 }
 
-/// A completed stage-1 drain awaiting settlement. `CommitQueue::take_all`
-/// removed the requests from the queue, so whoever holds this owes every
-/// one a status — delivered by
-/// [`settle_commit`](ConcurrentBlockTree::settle_commit) only *after*
-/// the covering publication (publish-before-respond), with the selection
-/// lock already released so responses wait on stage 2 without the lock
-/// waiting too.
-struct DrainSettle {
+/// One commit episode between stage 1
+/// ([`commit_locked`](ConcurrentBlockTree::commit_locked)) and its
+/// [`settle`](ConcurrentBlockTree::settle), which runs with the
+/// selection lock released so responses wait on stage 2 without the lock
+/// waiting too. `CommitQueue::take_all` removed `batch` from the queue,
+/// so whoever holds this owes every request a status, delivered only
+/// *after* the covering publication (publish-before-respond).
+struct Episode<'t> {
     batch: Vec<*const CommitReq>,
     /// Outcome per request, index-aligned with `batch`; a missing tail
     /// (user-code panic mid-batch) resolves as rejected.
     outcomes: Vec<Option<BlockId>>,
-    /// A user-code panic captured mid-drain, resumed by settlement after
+    /// The uncontended append's publication claim, if it won one.
+    claim: Option<Claim<'t>>,
+    /// A user-code panic captured in stage 1, resumed by settlement after
     /// the statuses are delivered — nobody waits forever.
     panic: Option<Box<dyn std::any::Any + Send>>,
 }
@@ -1964,10 +1965,11 @@ pub struct ConcurrentBlockTree<F: SelectionFn, P: ValidityPredicate> {
     /// (which runs pending recycle items against the bin) precedes the
     /// bin's.
     epochs: EpochDomain,
-    /// Reclaimed publication boxes awaiting reuse (see `publish_locked`).
-    /// Boxed because pending epoch items hold its *address*: the tree
-    /// struct itself may be moved by the owner between an append and the
-    /// drop, but the bin's heap allocation never moves.
+    /// Reclaimed publication boxes awaiting reuse (see
+    /// `publish_batches_locked`). Boxed because pending epoch items hold
+    /// its *address*: the tree struct itself may be moved by the owner
+    /// between an append and the drop, but the bin's heap allocation
+    /// never moves.
     spares: Box<RecycleBin<Blockchain>>,
     /// Current `{b0}⌢f(bt)`; always a valid leaked box.
     published: AtomicPtr<Blockchain>,
@@ -1988,23 +1990,19 @@ pub struct ConcurrentBlockTree<F: SelectionFn, P: ValidityPredicate> {
     gen_cv: Condvar,
     /// Appends committed on the inline fast path (no queue traffic).
     inline_commits: AtomicU64,
-    /// EWMA of drained batch sizes, ×8 fixed point (8 = mean batch 1.0).
-    /// Sizes the adaptive reclamation threshold.
-    avg_batch_x8: AtomicU32,
-    /// Wall nanoseconds spent in stage-1 batch drains (mint resolution,
-    /// membership inserts, scoring, staging) while holding the
-    /// selection lock. The inline fast path is deliberately untimed —
-    /// its per-append clock reads would tax exactly the path the
-    /// pipeline exists to keep cheap; `inline_appends` counts it.
+    /// Wall nanoseconds spent in stage 1 (mint resolution, membership
+    /// inserts, scoring, staging) while holding the selection lock. One
+    /// timer rule covers both stages: an episode is clocked exactly when
+    /// it drained queued requests — the appends the per-batched ratios
+    /// divide by. Episodes that took nothing off the queue (uncontended
+    /// appends, grafts) run unclocked: per-operation clock reads would
+    /// tax exactly the paths the pipeline exists to keep cheap.
     stat_drain_ns: AtomicU64,
     /// The slice of `stat_drain_ns` spent in batched selection scoring.
     stat_score_ns: AtomicU64,
     /// Wall nanoseconds spent publishing (WAL group commit, chain
-    /// splice, pointer swap) while holding the publication lock. Like
-    /// `stat_drain_ns`, this times the queue paths only: an inline
-    /// appender that claims the free publication lock publishes untimed
-    /// — per-append clock reads would tax exactly the path the pipeline
-    /// exists to keep cheap.
+    /// splice, pointer swap) while holding the publication lock, under
+    /// the same timer rule as `stat_drain_ns`.
     stat_publish_ns: AtomicU64,
     /// A WAL checkpoint claimed under the selection lock but not yet
     /// written: the O(prefix) record encoding, temp-file write, fsync,
@@ -2045,7 +2043,7 @@ struct PendingCheckpoint {
 pub const DEFAULT_FINALITY_DEPTH: u32 = 128;
 
 /// Flattening work per commit-path visit (blocks copied to the slab).
-/// Like the adaptive reclamation sweep, this bounds the latency any
+/// Like the amortized reclamation sweep, this bounds the latency any
 /// single append donates to background maintenance; a batch of B appends
 /// advances the watermark by B, so a budget ≥ 1 per publication keeps up
 /// and 64 lets the flattener catch up quickly after bursts.
@@ -2106,7 +2104,7 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
             durable: false,
             queue: CommitQueue::new(),
             epochs: EpochDomain::new(),
-            spares: Box::new(RecycleBin::new(RECLAIM_PENDING_MAX)),
+            spares: Box::new(RecycleBin::new(RECLAIM_PENDING)),
             published: AtomicPtr::new(Box::into_raw(Box::new(Blockchain::genesis()))),
             published_tip: AtomicU32::new(BlockId::GENESIS.0),
             commit_gen: AtomicU64::new(0),
@@ -2114,7 +2112,6 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
             gen_lock: Mutex::new(()),
             gen_cv: Condvar::new(),
             inline_commits: AtomicU64::new(0),
-            avg_batch_x8: AtomicU32::new(8),
             stat_drain_ns: AtomicU64::new(0),
             stat_score_ns: AtomicU64::new(0),
             stat_publish_ns: AtomicU64::new(0),
@@ -2226,20 +2223,20 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
     /// outside any lock against the published tip — the candidate's
     /// payload is *moved* into the arena, never cloned (a re-mint after a
     /// lost tip race reads it back from the orphan; that is the only copy
-    /// on the whole path). Then:
+    /// on the whole path). The append's [`CommitReq`] lives on this
+    /// stack frame either way. Then:
     ///
     /// * **Inline fast path**: if the selection mutex is free on the
-    ///   first CAS (`try_lock`), commit right here — membership insert
-    ///   and re-selection under the lock, publication staged and
-    ///   performed right after its release — with no request node, no
-    ///   queue push, and no status-word roundtrip. With a single appender
-    ///   this is every append, and it costs the mint plus one uncontended
-    ///   lock (per stage).
-    /// * **Staged queue**: otherwise a drainer is at work; push a
-    ///   stack-allocated [`CommitReq`] onto the MPSC queue and race for
-    ///   the drain ticket. Whichever appender wins drains the *whole*
-    ///   queue as one stage-1 batch (one staged publication), re-minting
-    ///   stale-parent requests under the authoritative tip.
+    ///   first CAS (`try_lock`), this thread runs the commit episode
+    ///   itself: whatever queued meanwhile, then its own request — never
+    ///   pushed, so no queue traffic and no cross-thread status
+    ///   roundtrip. With a single appender this is every append, and it
+    ///   costs the mint plus one uncontended lock (per stage).
+    /// * **Staged queue**: otherwise a drainer is at work; push the
+    ///   request onto the MPSC queue and race for the drain ticket.
+    ///   Whichever appender wins drains the *whole* queue as one stage-1
+    ///   batch (one staged publication), re-minting stale-parent requests
+    ///   under the authoritative tip.
     ///
     /// Either way the append returns only after the publication covering
     /// its commit: publish-before-respond. The linearization point is the
@@ -2290,60 +2287,28 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
             // The tip moved under us: re-decide under the authoritative
             // tip (inline or in the drain).
         }
-        // Inline fast path: one CAS — uncontended appends never touch the
-        // queue or a status word. Any batch that queued meanwhile is
-        // drained first (its owners are parked on the very lock we
-        // hold); if that drain hit a user-code panic, our own mint is
-        // left unresolved and the panic resumes on this thread after the
-        // batch settles — exactly as if the drain had panicked while we
-        // were parked behind it.
-        if let Some(mut sel) = self.sel.try_lock() {
-            let settle = self.drain_locked(&mut sel);
-            let mut outcome = None;
-            let mut own_panic = None;
-            let mut claimed = None;
-            let mut resolved = false;
-            // A tree poisoned since the entry check commits nothing
-            // further: membership (hence stage-1 insert order) must not
-            // grow past what the durable log can ever corroborate.
-            if settle.as_ref().is_none_or(|s| s.panic.is_none()) && !self.is_poisoned() {
-                let (o, c, p) =
-                    self.commit_inline_locked(&mut sel, minted, parent, prevalidated, nonce);
-                outcome = o;
-                claimed = c;
-                own_panic = p;
-                resolved = true;
-            }
-            drop(sel);
-            // A claimed publication covers everything staged before it —
-            // including the drained batch above — so it must land before
-            // settlement delivers those statuses (publish-before-respond).
-            if let Some(claim) = claimed {
-                self.publish_claimed(claim);
-            }
-            self.settle_commit(settle, own_panic);
-            self.maybe_reclaim();
-            self.maybe_flatten();
-            self.run_pending_checkpoint();
-            if !resolved {
-                // Only reachable poisoned: a drain panic resumed inside
-                // `settle_commit` above and never returns here.
-                return Err(self.poison_error());
-            }
-            return self.guard_outcome(outcome);
-        }
         let req = CommitReq::new(minted, parent, prevalidated, nonce);
-        // SAFETY: `req` lives on this stack frame, and we do not return
-        // until it is resolved; `take_all` unlinks it before any drainer
-        // dereferences it (see the queue's contract).
-        unsafe { self.queue.push(&req) };
-        // A drainer holds the lock right now (the try_lock above just
-        // failed). Donate the rest of this slice instead of immediately
-        // racing for the drain ticket: on a time-sliced core this is what
-        // lets peers enqueue behind us and the incumbent resolve the
-        // whole pile as one batch — without it, batches only form when
-        // the scheduler happens to preempt a lock holder.
-        std::thread::yield_now();
+        if let Some(mut sel) = self.sel.try_lock() {
+            // Inline fast path: one CAS. The episode resolves `req`
+            // before returning, unless a user-code panic unwinds out of
+            // `settle` first.
+            let episode = self.commit_locked(&mut sel, Own::Append(&req));
+            drop(sel);
+            self.settle(episode);
+        } else {
+            // SAFETY: `req` lives on this stack frame, and we do not
+            // return until it is resolved; `take_all` unlinks it before
+            // any drainer dereferences it (see the queue's contract).
+            unsafe { self.queue.push(&req) };
+            // A drainer holds the lock right now (the try_lock above
+            // just failed). Donate the rest of this slice instead of
+            // immediately racing for the drain ticket: on a time-sliced
+            // core this is what lets peers enqueue behind us and the
+            // incumbent resolve the whole pile as one batch — without it,
+            // batches only form when the scheduler happens to preempt a
+            // lock holder.
+            std::thread::yield_now();
+        }
         loop {
             match req.poll() {
                 Some(Polled::Committed(id)) => return self.guard_outcome(Some(id)),
@@ -2359,79 +2324,13 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
             // pattern, no scheduler convoy when the holder gets
             // preempted). If our request was taken but its publication
             // is still in flight (the taker is fsyncing in stage 2), the
-            // `publish_staged` inside `settle_commit` parks us on the
+            // `publish_staged` inside `settle` parks us on the
             // publication lock — again parked, never spinning.
-            let settle = {
+            let episode = {
                 let mut sel = self.sel.lock();
-                self.drain_locked(&mut sel)
+                self.commit_locked(&mut sel, Own::Queued)
             };
-            self.settle_commit(settle, None);
-            // Reclamation, flattening, and checkpoint IO run off the
-            // lock: parked appenders wake on commit latency, not on
-            // maintenance latency.
-            self.maybe_reclaim();
-            self.maybe_flatten();
-            self.run_pending_checkpoint();
-        }
-    }
-
-    /// The inline stage-1 half of the two-speed `append`: the caller won
-    /// the selection mutex on its first CAS (and already drained any
-    /// queued batch), so resolve its mint right here and stage the
-    /// publication. The caller releases the lock, then settles —
-    /// publishes and, on the panic path, resumes the unwind.
-    ///
-    /// Mirrors the drain's panic contract: the outcome is recorded before
-    /// the membership insert runs, and if user code (`P::is_valid`,
-    /// `SelectionFn::on_insert`) panics after the insert, the selection
-    /// state is re-derived from the — always consistent — membership and
-    /// the batch staged anyway, so the tree stays serviceable and every
-    /// status the unwind leaves behind is covered by a publication. The
-    /// panic payload is *returned*, not resumed: the caller must first
-    /// drop the lock and publish (publish-before-respond is vacuous for
-    /// the appender itself — no response is delivered; `append` panics).
-    fn commit_inline_locked<'t>(
-        &'t self,
-        sel: &mut SelState,
-        minted: BlockId,
-        parent: BlockId,
-        prevalidated: bool,
-        nonce: u64,
-    ) -> (
-        Option<BlockId>,
-        Option<ClaimedPub<'t>>,
-        Option<Box<dyn std::any::Any + Send>>,
-    ) {
-        let mut committed: Option<BlockId> = None;
-        let tip_before = sel.tip;
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if let Some(id) =
-                self.resolve_target_locked(tip_before, minted, parent, prevalidated, nonce)
-            {
-                // Recorded before the user-code re-selection stage runs,
-                // exactly like the drain's `outcomes` vector.
-                committed = Some(id);
-                self.insert_locked(sel, id, tip_before);
-                self.score_inserts_locked(sel, &[id], tip_before);
-            }
-        }));
-        // relaxed: stats counter, read only by pipeline_stats().
-        self.inline_commits.fetch_add(1, Ordering::Relaxed);
-        self.record_batch_size(1);
-        match run {
-            Ok(()) => {
-                let claim = match committed {
-                    Some(id) => self.stage_inline_locked(sel, &[id]),
-                    None => None,
-                };
-                (committed, claim, None)
-            }
-            Err(payload) => {
-                if let Some(id) = committed {
-                    self.rescue_and_stage(sel, &[id]);
-                }
-                (committed, None, Some(payload))
-            }
+            self.settle(episode);
         }
     }
 
@@ -2464,7 +2363,9 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
     ///
     /// This is the commit half of the refined append: oracle-gated
     /// workloads (`Θ_F` consumeToken feedback) mint first, ask the oracle
-    /// which mints won, and commit exactly those.
+    /// which mints won, and commit exactly those. It runs the same commit
+    /// episode as `append` — grafts already pay for the lock, and queued
+    /// appenders are parked on it, so any pending batch resolves first.
     ///
     /// Idempotent: grafting an already-committed block is a no-op that
     /// returns `Some(id)` without inserting, re-publishing, or touching
@@ -2478,6 +2379,11 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
     /// survives — a block covered by a pre-poisoning publication still
     /// acks `Ok(Some(id))` — but nothing new commits: everything else
     /// returns `Err`.
+    ///
+    /// # Panics
+    ///
+    /// If the parent is not committed, before any queued request is
+    /// taken.
     pub fn graft_minted(&self, id: BlockId) -> Result<Option<BlockId>, DurabilityError> {
         if self.is_poisoned() {
             return self.guard_outcome(Some(id));
@@ -2493,93 +2399,19 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
             .store
             .parent(id)
             .expect("grafted blocks are not genesis");
-        let mut own_panic = None;
-        let settle = {
+        let episode = {
             let mut sel = self.sel.lock();
-            // Opportunistically resolve any pending batch first — grafts
-            // already paid for the lock, and queued appenders are parked
-            // on it.
-            let settle = self.drain_locked(&mut sel);
-            let drain_panicked = settle.as_ref().is_some_and(|s| s.panic.is_some());
-            // Like the inline append: a tree poisoned since the entry
-            // check inserts nothing further.
-            let halted = drain_panicked || self.is_poisoned();
-            if !halted && sel.tree.contains(id) {
-                // Duplicate graft: someone committed this block first
-                // (`P` is deterministic, so their validity verdict was
-                // the same one we just computed). Nothing to insert and
-                // nothing new to publish — the committer staged the
-                // covering batch inside the same critical section as its
-                // insert, so the `publish_staged` in `settle_commit`
-                // below returns only once that publication is in.
-                drop(sel);
-                self.settle_commit(settle, None);
-                return self.guard_outcome(Some(id));
-            }
-            if !halted {
-                assert!(
-                    sel.tree.contains(parent),
-                    "graft parent {parent} not committed to the tree"
-                );
-                // Shielded like the inline path: drained requests are
-                // still unsettled, so a user-code panic here must not
-                // unwind past the statuses we owe them.
-                let tip_before = sel.tip;
-                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.insert_locked(&mut sel, id, parent);
-                    self.score_inserts_locked(&mut sel, &[id], tip_before);
-                }));
-                match run {
-                    Ok(()) => self.stage_publication(&mut sel, &[id]),
-                    Err(payload) => {
-                        self.rescue_and_stage(&mut sel, &[id]);
-                        own_panic = Some(payload);
-                    }
-                }
-            }
-            settle
+            self.commit_locked(&mut sel, Own::Graft { id, parent })
         };
-        self.settle_commit(settle, own_panic);
-        self.maybe_reclaim();
-        self.maybe_flatten();
-        self.run_pending_checkpoint();
+        self.settle(episode);
         self.guard_outcome(Some(id))
     }
 
-    /// Feeds the batch-size EWMA behind the adaptive reclamation
-    /// threshold (×8 fixed point, relaxed — a heuristic, not a ledger).
-    /// Both commit paths report: queue drains with their batch size,
-    /// inline commits as batches of one — without the inline samples the
-    /// EWMA would stay frozen at whatever the last contended burst left
-    /// (no further non-empty drains run once the workload goes
-    /// uncontended), pinning the threshold at the floor and sweeping 8×
-    /// too often on exactly the path the adaptivity exists for.
-    fn record_batch_size(&self, n: usize) {
-        // relaxed: lossy EWMA heuristic — concurrent updates may drop a
-        // sample, which only nudges the sweep threshold.
-        let old = self.avg_batch_x8.load(Ordering::Relaxed).max(8) as u64;
-        let new = (old * 7 + n as u64 * 8) / 8;
-        self.avg_batch_x8
-            .store(new.min(u32::MAX as u64) as u32, Ordering::Relaxed); // relaxed: EWMA heuristic
-    }
-
-    /// The adaptive sweep threshold: inversely proportional to the
-    /// observed mean batch size, clamped to
-    /// [`RECLAIM_PENDING_MIN`]..=[`RECLAIM_PENDING_MAX`]. One retire
-    /// happens per publication, so this holds the sweep cost per *append*
-    /// roughly constant whether appends publish one by one (inline) or in
-    /// batches (see the constants' docs).
-    fn reclaim_threshold(&self) -> usize {
-        // relaxed: heuristic read of the EWMA; any recent value will do.
-        let avg_x8 = self.avg_batch_x8.load(Ordering::Relaxed).max(8) as usize;
-        (RECLAIM_PENDING_MIN * 8 * 8 / avg_x8).clamp(RECLAIM_PENDING_MIN, RECLAIM_PENDING_MAX)
-    }
-
-    /// Amortized reclamation: sweep only when the backlog crosses the
-    /// adaptive threshold (callers outside the hot path may always call
+    /// Amortized reclamation: sweep only when the backlog crosses
+    /// [`RECLAIM_PENDING`] (callers outside the hot path may always call
     /// [`EpochDomain::try_reclaim`] directly via [`epochs`](Self::epochs)).
     fn maybe_reclaim(&self) {
-        if self.epochs.pending_items() >= self.reclaim_threshold() {
+        if self.epochs.pending_items() >= RECLAIM_PENDING {
             self.epochs.try_reclaim();
         }
     }
@@ -2676,14 +2508,26 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
         }
     }
 
-    /// Stage 1 for every queued commit request, as one batch, under the
-    /// selection lock: per request a mint resolution (re-minting under
-    /// the authoritative tip if the optimistic parent went stale) and a
-    /// membership insert, then one *batched* selection-scoring pass over
-    /// the whole batch's inserts, then one staged publication record.
-    /// Publication itself (WAL, splice, swap) and the responses are the
-    /// caller's settlement duty, performed off this lock — see
-    /// [`DrainSettle`] and [`settle_commit`](Self::settle_commit).
+    /// Stage 1 of a commit episode, under the selection lock: takes the
+    /// queue, resolves and inserts every queued request and then the
+    /// caller's own append (re-minting a request whose optimistic parent
+    /// went stale under the authoritative tip), scores those inserts in
+    /// one *batched* pass, inserts and scores the caller's own graft in a
+    /// pass of its own (a graft need not extend the pending tip), and
+    /// stages one publication covering everything inserted. Publication
+    /// itself (WAL, splice, swap) and the responses are
+    /// [`settle`](Self::settle)'s duty, performed off this lock.
+    ///
+    /// User code (`P::is_valid`, the selection rule) runs under one
+    /// shield. A request's outcome is recorded *before* its membership
+    /// insert, and inserts update membership + commit log *before*
+    /// scoring, so whatever panics, the recorded outcomes match the state
+    /// the membership and commit log actually reached. The panic then
+    /// travels in the episode: the selection state is re-derived from the
+    /// membership and the batch staged anyway
+    /// ([`rescue_and_stage`](Self::rescue_and_stage)), so every status
+    /// settlement delivers is covered by a publication and the tree stays
+    /// serviceable instead of degraded.
     ///
     /// During resolution the evolving tip is tracked without consulting
     /// the selection rule: a committed request always extends the tip it
@@ -2695,11 +2539,21 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
     /// only new child. The batched scoring pass re-derives the tip
     /// through the rule afterwards and is authoritative; debug builds
     /// cross-check both against the full-scan oracle.
-    fn drain_locked(&self, sel: &mut SelState) -> Option<DrainSettle> {
-        let batch = self.queue.take_all();
-        if batch.is_empty() {
-            return None;
+    fn commit_locked<'t>(&'t self, sel: &mut SelState, own: Own<'_>) -> Episode<'t> {
+        if let Own::Graft { parent, .. } = own {
+            // Checked before the queue is taken: a misused graft must not
+            // strand the requests it would otherwise owe statuses.
+            assert!(
+                sel.tree.contains(parent),
+                "graft parent {parent} not committed to the tree"
+            );
         }
+        let batch = self.queue.take_all();
+        let mut outcomes: Vec<Option<BlockId>> = Vec::with_capacity(batch.len());
+        let own_req = match own {
+            Own::Append(req) => Some(req),
+            _ => None,
+        };
         if self.is_poisoned() {
             // Degraded mode: the requests still get settled (owners are
             // parked on these very statuses), but nothing is resolved or
@@ -2707,174 +2561,189 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
             // log can corroborate. The empty outcomes vector makes
             // settlement poison every request a prior publication does
             // not already cover.
-            return Some(DrainSettle {
+            if let Some(req) = own_req {
+                req.resolve_poisoned();
+            }
+            return Episode {
                 batch,
-                outcomes: Vec::new(),
+                outcomes,
+                claim: None,
                 panic: None,
-            });
+            };
         }
-        let t0 = std::time::Instant::now();
-        // Feed the adaptive reclamation threshold with this batch's size.
-        self.record_batch_size(batch.len());
-        // A committing request records its outcome *before* its
-        // membership insert runs, and the insert updates membership +
-        // commit log *before* the user-code scoring stage, so whatever
-        // panics inside user code (`P::is_valid`,
-        // `SelectionFn::on_insert`), the recorded outcomes always match
-        // the state the membership and commit log actually reached.
-        let mut outcomes: Vec<Option<BlockId>> = Vec::with_capacity(batch.len());
-        let tip_before = sel.tip;
-        let mut pending_tip = tip_before;
-        let mut inserted: Vec<BlockId> = Vec::new();
+        if own_req.is_some() {
+            // relaxed: stats counter, read only by pipeline_stats().
+            self.inline_commits.fetch_add(1, Ordering::Relaxed);
+        }
+        // The one timer rule: clock exactly the episodes that drained
+        // queued requests.
+        let t0 = (!batch.is_empty()).then(std::time::Instant::now);
+        // The episode's inserts are the commit-log suffix from here.
+        let from = sel.commit_log.len();
+        let mut pending_tip = sel.tip;
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for &req_ptr in &batch {
+            let queued = batch.iter().map(|&req_ptr| {
                 // SAFETY: `take_all` transferred ownership of the node;
-                // its enqueueing appender is blocked polling until we
-                // resolve it.
-                let req = unsafe { &*req_ptr };
-                let target = self.resolve_target_locked(
-                    pending_tip,
-                    req.minted,
-                    req.parent,
-                    req.prevalidated,
-                    req.nonce,
-                );
-                outcomes.push(target);
+                // its enqueueing appender is blocked polling until
+                // settlement resolves it.
+                unsafe { &*req_ptr }
+            });
+            for (i, req) in queued.chain(own_req).enumerate() {
+                let target = self.resolve_target_locked(pending_tip, req);
+                // Queued statuses wait for the covering publication. The
+                // caller's own request was never pushed: only its owner
+                // polls it, after settlement, so it resolves right away.
+                if i < batch.len() {
+                    outcomes.push(target);
+                } else {
+                    req.resolve(target);
+                }
                 if let Some(id) = target {
                     self.insert_locked(sel, id, pending_tip);
                     pending_tip = id;
-                    inserted.push(id);
                 }
             }
-            // One scoring pass for the whole batch — the user-code slice
-            // the old pipeline paid per insert.
-            self.score_inserts_locked(sel, &inserted, tip_before);
+            self.score_inserts_locked(sel, from);
             debug_assert_eq!(
                 sel.tip, pending_tip,
                 "a committed insert always extends the selected tip"
             );
+            if let Own::Graft { id, parent } = own {
+                // A duplicate graft inserts nothing: someone committed
+                // this block first (`P` is deterministic, so their
+                // verdict was ours) and staged its covering batch in the
+                // same critical section as the insert, so settlement's
+                // `publish_staged` waits that publication in.
+                if !sel.tree.contains(id) {
+                    let graft_from = sel.commit_log.len();
+                    self.insert_locked(sel, id, parent);
+                    self.score_inserts_locked(sel, graft_from);
+                }
+            }
         }));
-        let panic = match run {
-            Ok(()) => {
-                if !inserted.is_empty() {
-                    self.stage_publication(sel, &inserted);
-                }
-                None
-            }
+        let inserted = sel.commit_log.len() > from;
+        let mut claim = None;
+        let mut panic = None;
+        match run {
+            Ok(()) if inserted => claim = self.stage_locked(sel, from, own_req.is_some()),
+            Ok(()) => {}
             Err(payload) => {
-                // User code panicked mid-batch. Membership and commit
-                // log are sound (see above), but the selection aux may
-                // be mid-update and nothing is staged — delivering a
-                // "committed" status now would hand a healthy appender
-                // a response no read can corroborate. Re-derive the
-                // selection state from the membership and stage the
-                // batch anyway, so every status the settlement delivers
-                // is covered by a publication; this also leaves the
-                // tree consistent for subsequent drains instead of
-                // degraded.
-                if !inserted.is_empty() {
-                    self.rescue_and_stage(sel, &inserted);
+                if inserted {
+                    self.rescue_and_stage(sel, from);
                 }
-                Some(payload)
+                panic = Some(payload);
             }
-        };
-        self.stat_drain_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed); // relaxed: stats counter
-        Some(DrainSettle {
+        }
+        if let Some(t0) = t0 {
+            self.stat_drain_ns
+                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed); // relaxed: stats counter
+        }
+        Episode {
             batch,
             outcomes,
+            claim,
             panic,
-        })
+        }
     }
 
     /// Settles a commit episode with the selection lock released: runs
-    /// stage 2 ([`publish_staged`](Self::publish_staged)), then delivers
-    /// every status the drain recorded — publish-before-respond: the
-    /// publication covering those commits has swapped in by now — then
-    /// resumes whichever panic stage 1 captured.
-    fn settle_commit(
-        &self,
-        settle: Option<DrainSettle>,
-        own_panic: Option<Box<dyn std::any::Any + Send>>,
-    ) {
-        self.publish_staged();
-        if let Some(DrainSettle {
+    /// stage 2 — the claimed run, then whatever peers staged meanwhile
+    /// ([`publish_staged`](Self::publish_staged)) — then delivers every
+    /// status the episode owes — publish-before-respond: the publication
+    /// covering those commits has swapped in by now — then the
+    /// maintenance tail, then resumes whichever panic stage 1 captured.
+    fn settle(&self, episode: Episode<'_>) {
+        let Episode {
             batch,
             outcomes,
+            claim,
             panic,
-        }) = settle
-        {
-            let poisoned = self.is_poisoned();
-            for (i, &req_ptr) in batch.iter().enumerate() {
-                // SAFETY: owners are still polling (they only return
-                // once a status lands), and only this settler holds the
-                // taken nodes; after `resolve` the node is never touched
-                // again by this thread.
-                let req = unsafe { &*req_ptr };
-                if req.poll().is_some() {
-                    continue;
-                }
-                if !poisoned {
-                    req.resolve(outcomes.get(i).copied().flatten());
-                    continue;
-                }
-                // Degraded mode: only statuses the durable log can
-                // corroborate may still be delivered — a commit covered
-                // by a pre-poisoning publication, or a volatile
-                // `P`-rejection (no durability claim to break). An
-                // uncovered insert, or a request the poisoned drain
-                // skipped outright, gets the poison status instead.
-                match outcomes.get(i).copied() {
-                    Some(Some(id)) if self.is_committed(id) => req.resolve(Some(id)),
-                    Some(None) => req.resolve(None),
-                    _ => req.resolve_poisoned(),
-                }
+        } = episode;
+        let timed = !batch.is_empty();
+        if let Some((mut publ, run)) = claim {
+            self.publish_run(&mut publ, run, timed);
+        }
+        self.publish_staged(timed);
+        let poisoned = self.is_poisoned();
+        for (i, &req_ptr) in batch.iter().enumerate() {
+            // SAFETY: owners are still polling (they only return once a
+            // status lands), and only this settler holds the taken nodes;
+            // after `resolve` the node is never touched again by this
+            // thread.
+            let req = unsafe { &*req_ptr };
+            if req.poll().is_some() {
+                continue;
             }
-            if let Some(payload) = panic {
-                std::panic::resume_unwind(payload);
+            if !poisoned {
+                req.resolve(outcomes.get(i).copied().flatten());
+                continue;
+            }
+            // Degraded mode: only statuses the durable log can
+            // corroborate may still be delivered — a commit covered by a
+            // pre-poisoning publication, or a volatile `P`-rejection (no
+            // durability claim to break). An uncovered insert, or a
+            // request the poisoned episode skipped outright, gets the
+            // poison status instead.
+            match outcomes.get(i).copied() {
+                Some(Some(id)) if self.is_committed(id) => req.resolve(Some(id)),
+                Some(None) => req.resolve(None),
+                _ => req.resolve_poisoned(),
             }
         }
-        if let Some(payload) = own_panic {
+        // Reclamation, flattening, and checkpoint IO run off both locks:
+        // parked appenders wake on commit latency, not on maintenance
+        // latency.
+        self.maybe_reclaim();
+        self.maybe_flatten();
+        self.run_pending_checkpoint();
+        if let Some(payload) = panic {
             std::panic::resume_unwind(payload);
         }
     }
 
-    /// Folds a batch's newly committed ids into the selection aux and
-    /// advances the authoritative tip: one incremental `on_insert` for a
-    /// single insert; the sharded partition → score → merge → apply
-    /// pipeline of [`batch_score`] for anything larger. Runs user code;
-    /// callers shield it (the stage-1 panic contract).
-    fn score_inserts_locked(&self, sel: &mut SelState, inserted: &[BlockId], tip_before: BlockId) {
-        if inserted.is_empty() {
-            return;
-        }
-        let new_tip = if let [only] = inserted {
-            match self
+    /// Folds the commit-log suffix from `from` — newly committed ids —
+    /// into the selection aux and advances the authoritative tip: one
+    /// incremental `on_insert` for a single insert; the sharded
+    /// partition → score → merge → apply pipeline of [`batch_score`] for
+    /// anything larger. Runs user code; callers shield it (the stage-1
+    /// panic contract).
+    fn score_inserts_locked(&self, sel: &mut SelState, from: usize) {
+        let SelState {
+            tree,
+            commit_log,
+            aux,
+            tip,
+            ..
+        } = sel;
+        let tip_before = *tip;
+        *tip = match &commit_log[from..] {
+            [] => return,
+            [only] => match self
                 .selection
-                .on_insert(&self.store, &sel.tree, &mut sel.aux, *only, tip_before)
+                .on_insert(&self.store, tree, aux, *only, tip_before)
             {
                 TipUpdate::Unchanged => tip_before,
                 TipUpdate::Extended(t) | TipUpdate::Switched(t) => t,
+            },
+            inserted => {
+                let t0 = std::time::Instant::now();
+                let new_tip = batch_score(
+                    &self.selection,
+                    &self.store,
+                    tree,
+                    aux,
+                    inserted,
+                    tip_before,
+                );
+                self.stat_score_ns
+                    .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed); // relaxed: stats counter
+                new_tip
             }
-        } else {
-            let t0 = std::time::Instant::now();
-            let tip = batch_score(
-                &self.selection,
-                &self.store,
-                &sel.tree,
-                &mut sel.aux,
-                inserted,
-                tip_before,
-            );
-            self.stat_score_ns
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed); // relaxed: stats counter
-            tip
         };
-        sel.tip = new_tip;
         #[cfg(debug_assertions)]
         debug_assert_eq!(
-            sel.tip,
-            self.selection.select_tip(&self.store, &sel.tree),
+            *tip,
+            self.selection.select_tip(&self.store, tree),
             "incremental {} selection diverged from the full-scan oracle",
             self.selection.name()
         );
@@ -2882,60 +2751,44 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
 
     /// Stage-1 panic recovery: re-derives the selection aux and tip from
     /// the — always consistent — membership with a full `select_tip`
-    /// scan, then stages the batch so its statuses are covered by a
-    /// publication. The rescan runs selection user code again, so it is
-    /// shielded: if it panics too, staging is skipped and responses fall
-    /// back to matching only the commit log (a tree whose selection
-    /// panics nondeterministically offers nothing stronger).
-    fn rescue_and_stage(&self, sel: &mut SelState, inserted: &[BlockId]) {
+    /// scan, then stages the commit-log suffix from `from` so its
+    /// statuses are covered by a publication. The rescan runs selection
+    /// user code again, so it is shielded: if it panics too, staging is
+    /// skipped and responses fall back to matching only the commit log (a
+    /// tree whose selection panics nondeterministically offers nothing
+    /// stronger).
+    fn rescue_and_stage(&self, sel: &mut SelState, from: usize) {
         let rescued = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             sel.aux.reset();
             self.selection.select_tip(&self.store, &sel.tree)
         }));
         if let Ok(tip) = rescued {
             sel.tip = tip;
-            self.stage_publication(sel, inserted);
+            self.stage_locked(sel, from, false);
         }
     }
 
     /// Stages a publication record covering everything committed so far
-    /// — the stage-1 → stage-2 handoff. Runs under the selection lock
-    /// (staging order is commit-log order) in the *same* critical
-    /// section as the batch's inserts: an observer that sees the
-    /// membership change (`is_committed`, a duplicate graft) can rely on
-    /// the covering batch already being staged, so its own
-    /// `publish_staged` suffices to wait the publication in.
-    fn stage_publication(&self, sel: &mut SelState, inserted: &[BlockId]) {
+    /// — the stage-1 → stage-2 handoff, carrying the commit-log suffix
+    /// from `from` for the WAL. Runs under the selection lock (staging
+    /// order is commit-log order) in the *same* critical section as the
+    /// inserts: an observer that sees the membership change
+    /// (`is_committed`, a duplicate graft) can rely on the covering batch
+    /// already being staged, so its own `publish_staged` suffices to wait
+    /// the publication in.
+    ///
+    /// With `claim` — an uncontended append's episode — one non-blocking
+    /// try for the publication lock: `sel → publ` in *claim* order only,
+    /// safe because no holder of `publ` ever waits on `sel`. On success
+    /// the batch never touches the staged queue: settlement publishes the
+    /// returned run directly once the selection lock drops. The
+    /// uncontended append thereby pays one lock pair per stage and zero
+    /// allocation, while a busy publisher (an fsync in flight) degrades
+    /// gracefully to the queue.
+    fn stage_locked<'t>(&'t self, sel: &SelState, from: usize, claim: bool) -> Option<Claim<'t>> {
         let upto = sel.commit_log.len() as u64;
         let ids = if self.durable {
-            inserted.to_vec()
-        } else {
-            Vec::new()
-        };
-        self.staged.lock().push(PubBatch {
-            upto,
-            tip: sel.tip,
-            ids,
-        });
-        self.staged_upto.store(upto, Ordering::Release);
-    }
-
-    /// [`stage_publication`](Self::stage_publication) with the inline
-    /// claim fast path: one non-blocking try for the publication lock —
-    /// `sel → publ` in *claim* order only, safe because no holder of
-    /// `publ` ever waits on `sel` — and on success the batch never
-    /// touches the staged queue: the caller publishes it directly after
-    /// releasing the selection lock. The uncontended append thereby pays
-    /// one lock pair per stage and zero allocation, while a busy
-    /// publisher (an fsync in flight) degrades gracefully to the queue.
-    fn stage_inline_locked<'t>(
-        &'t self,
-        sel: &mut SelState,
-        inserted: &[BlockId],
-    ) -> Option<ClaimedPub<'t>> {
-        let upto = sel.commit_log.len() as u64;
-        let ids = if self.durable {
-            inserted.to_vec()
+            sel.commit_log[from..].to_vec()
         } else {
             Vec::new()
         };
@@ -2944,7 +2797,8 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
             tip: sel.tip,
             ids,
         };
-        let Some(mut publ) = self.publ.try_lock() else {
+        let claimed = if claim { self.publ.try_lock() } else { None };
+        let Some(mut publ) = claimed else {
             self.staged.lock().push(batch);
             self.staged_upto.store(upto, Ordering::Release);
             return None;
@@ -2961,30 +2815,15 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
         }
         batches.push(batch);
         self.staged_upto.store(upto, Ordering::Release);
-        Some(ClaimedPub { publ, batches })
-    }
-
-    /// Stage 2 for a claimed inline publication, entered with the
-    /// selection lock already released. Untimed, like the inline drain:
-    /// per-append clock reads would tax exactly the path the pipeline
-    /// exists to keep cheap ([`PipelineStats`] counts it via
-    /// `inline_appends`).
-    fn publish_claimed(&self, claim: ClaimedPub<'_>) {
-        let ClaimedPub {
-            mut publ,
-            mut batches,
-        } = claim;
-        // A persistence failure latched the poison flag inside; the
-        // claimant's own exit check surfaces it as `DurabilityError`.
-        let _ = self.publish_batches_locked(&mut publ, &batches);
-        batches.clear();
-        publ.spare = batches;
+        Some((publ, batches))
     }
 
     /// Stage 2 of the commit pipeline: publishes every staged batch —
     /// WAL group commit, in-place chain advance, boxed-chain pointer
     /// swap — under the publication lock, with the selection lock
-    /// already released so the next drain proceeds concurrently.
+    /// already released so the next episode proceeds concurrently.
+    /// `timed` charges the hold to `stat_publish_ns` (the one timer
+    /// rule).
     ///
     /// Whoever holds the lock pops *all* staged batches, so batches
     /// publish strictly in commit-log order no matter which thread ends
@@ -2992,47 +2831,48 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
     /// collapse into its successor's single publication (one fsync, one
     /// swap). On return, everything the calling thread staged beforehand
     /// is covered by a publication — its own or another's.
-    fn publish_staged(&self) {
+    fn publish_staged(&self, timed: bool) {
         if self.published_upto.load(Ordering::Acquire) >= self.staged_upto.load(Ordering::Acquire) {
             return;
         }
         let mut publ = self.publ.lock();
         let mut batches = std::mem::take(&mut publ.spare);
         std::mem::swap(&mut *self.staged.lock(), &mut batches);
-        if batches.is_empty() {
-            // The previous holder popped our batch and published it
-            // before releasing the lock we just acquired.
-            publ.spare = batches;
-            return;
+        // An empty pop means the previous holder popped our batch and
+        // published it before releasing the lock we just acquired.
+        self.publish_run(&mut publ, batches, timed);
+    }
+
+    /// Publishes a popped (or claimed) run, if non-empty, under the held
+    /// publication lock, and parks the drained vector back in
+    /// `PubState::spare` — the steady state allocates nothing per
+    /// publication.
+    fn publish_run(&self, publ: &mut PubState, mut batches: Vec<PubBatch>, timed: bool) {
+        if !batches.is_empty() {
+            let t0 = timed.then(std::time::Instant::now);
+            // Failure latches the poison flag inside; every settlement
+            // and exit check downstream reads it.
+            let _ = self.publish_batches_locked(publ, &batches);
+            if let Some(t0) = t0 {
+                let ns = t0.elapsed().as_nanos() as u64;
+                self.stat_publish_ns.fetch_add(ns, Ordering::Relaxed); // relaxed: stats counter
+            }
         }
-        let t0 = std::time::Instant::now();
-        // Failure latches the poison flag inside; every settlement and
-        // exit check downstream reads it.
-        let _ = self.publish_batches_locked(&mut publ, &batches);
-        self.stat_publish_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed); // relaxed: stats counter
         batches.clear();
         publ.spare = batches;
     }
 
-    /// Decides where a staged mint lands against the authoritative tree
-    /// state, *without* touching membership: the original mint when its
-    /// optimistic parent is still `tip` (the evolving batch tip), else a
-    /// fresh re-mint under it. Returns the id to commit, or `None` when
-    /// `P` rejects (either mint stays a non-member arena orphan, as a
-    /// lost optimistic race always did). Runs user code (`P::is_valid`);
-    /// callers record the outcome before inserting — the panic contract
-    /// of the commit paths.
-    fn resolve_target_locked(
-        &self,
-        tip: BlockId,
-        minted: BlockId,
-        parent: BlockId,
-        prevalidated: bool,
-        nonce: u64,
-    ) -> Option<BlockId> {
-        if parent == tip {
-            return prevalidated.then_some(minted);
+    /// Decides where a request's mint lands against the authoritative
+    /// tree state, *without* touching membership: the original mint when
+    /// its optimistic parent is still `tip` (the evolving batch tip),
+    /// else a fresh re-mint under it. Returns the id to commit, or `None`
+    /// when `P` rejects (either mint stays a non-member arena orphan, as
+    /// a lost optimistic race always did). Runs user code
+    /// (`P::is_valid`); callers record the outcome before inserting — the
+    /// panic contract of the commit episode.
+    fn resolve_target_locked(&self, tip: BlockId, req: &CommitReq) -> Option<BlockId> {
+        if req.parent == tip {
+            return req.prevalidated.then_some(req.minted);
         }
         // The optimistic parent lost the race: re-mint under the current
         // selected tip and decide against the tree state at this — the
@@ -3042,14 +2882,14 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
         // copy the append path ever makes. `mint_checked` runs `P` on
         // the locally built block, same as the fast path.
         let mut fields = None;
-        self.store.with_block(minted, &mut |b| {
+        self.store.with_block(req.minted, &mut |b| {
             fields = Some((b.producer, b.merit_index, b.work, b.payload.clone()));
         });
         let (producer, merit_index, work, payload) =
             fields.expect("the stale mint is fully minted in the arena");
         let (id, valid) =
             self.store
-                .mint_checked(tip, producer, merit_index, work, nonce, payload, |b| {
+                .mint_checked(tip, producer, merit_index, work, req.nonce, payload, |b| {
                     self.predicate.is_valid(&self.store, b)
                 });
         valid.then_some(id)
@@ -3060,7 +2900,8 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
     /// ([`score_inserts_locked`](Self::score_inserts_locked)) so a batch
     /// pays one pass; publication is stage 2.
     fn insert_locked(&self, sel: &mut SelState, id: BlockId, parent: BlockId) {
-        sel.tree.insert_with_parent(Some(parent), id);
+        let fresh = sel.tree.insert_with_parent(Some(parent), id);
+        assert!(fresh, "the commit log holds no duplicates");
         sel.commit_log.push(id);
         let pos = sel.commit_log.len() as u32;
         let idx = id.0 as usize;
@@ -3333,19 +3174,11 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
         // Owned and unshared here, so the flag needs no synchronization;
         // it must be set before any commit path can observe the tree.
         tree.durable = true;
-        let (recovered_upto, recovered_tip, log_mirror) = {
+        let log_mirror = {
             let mut sel = tree.sel.lock();
             for rec in &records {
                 tree.store.install_recovered(rec);
-                let fresh = sel.tree.insert_with_parent(Some(rec.parent), rec.id);
-                assert!(fresh, "durable commit log holds no duplicates");
-                sel.commit_log.push(rec.id);
-                let pos = sel.commit_log.len() as u32;
-                let idx = rec.id.0 as usize;
-                if sel.log_pos.len() <= idx {
-                    sel.log_pos.resize(idx + 1, 0);
-                }
-                sel.log_pos[idx] = pos;
+                tree.insert_locked(&mut sel, rec.id, rec.parent);
             }
             tree.store.fill_recovery_gaps();
             tree.store.sort_recovered_children();
@@ -3355,7 +3188,14 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
             // The aux stays reset — the first live scoring pass re-seeds
             // it from the membership.
             sel.tip = tree.selection.select_tip(&tree.store, &sel.tree);
-            (sel.commit_log.len() as u64, sel.tip, sel.commit_log.clone())
+            if !records.is_empty() {
+                // Stage the recovered chain with no new ids: the WAL
+                // append in stage 2 frames zero records (everything is
+                // already durable), but the splice, the watermark raise,
+                // and the tip/generation stores all run as on any commit.
+                tree.stage_locked(&sel, sel.commit_log.len(), false);
+            }
+            sel.commit_log.clone()
         };
         {
             let mut publ = tree.publ.lock();
@@ -3366,17 +3206,7 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
             publ.logged_ids = log_mirror;
         }
         if !records.is_empty() {
-            // Stage the recovered chain with no new ids: the WAL append
-            // in stage 2 frames zero records (everything is already
-            // durable), but the splice, the watermark raise, and the
-            // tip/generation stores all run as on any commit.
-            tree.staged.lock().push(PubBatch {
-                upto: recovered_upto,
-                tip: recovered_tip,
-                ids: Vec::new(),
-            });
-            tree.staged_upto.store(recovered_upto, Ordering::Release);
-            tree.publish_staged();
+            tree.publish_staged(false);
             // One generation per historical publication keeps recovered
             // counters comparable with the live tree's. A fresh (empty)
             // WAL skips this: a durable tree that never published stays
@@ -3471,13 +3301,14 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
 
     /// Commit-pipeline counters (batch count, batched appends, largest
     /// batch, inline fast-path commits) plus the stage timing totals:
-    /// `drain_lock_ns` (stage-1 batch drains, selection lock held),
-    /// `score_ns` (the batched-scoring slice of those drains), and
-    /// `publish_ns` (stage 2, publication lock held). Before this
-    /// pipeline split, everything in all three ran under the one
-    /// selection lock. The timings cover the queue paths only —
-    /// inline fast-path appends (counted by `inline_appends`) commit
-    /// and publish unclocked, so the ratios compare like with like.
+    /// `drain_lock_ns` (stage 1, selection lock held), `score_ns` (the
+    /// batched-scoring slice of it), and `publish_ns` (stage 2,
+    /// publication lock held). Before this pipeline split, everything in
+    /// all three ran under the one selection lock. The timings cover
+    /// exactly the commit episodes that drained queued requests — the
+    /// `batched_appends` the ratios divide by; episodes that took
+    /// nothing off the queue (uncontended appends, grafts) commit and
+    /// publish unclocked, so the ratios compare like with like.
     pub fn pipeline_stats(&self) -> PipelineStats {
         let mut stats = self.queue.stats();
         // relaxed: approximate observability snapshot, counters are
@@ -3734,7 +3565,7 @@ mod tests {
     #[test]
     fn retired_snapshots_are_reclaimed_after_readers_pass() {
         let bt = ConcurrentBlockTree::new(LongestChain, AcceptAll);
-        let n = 4 * RECLAIM_PENDING_MAX as u64;
+        let n = 4 * RECLAIM_PENDING as u64;
         for i in 0..n {
             bt.append(CandidateBlock::simple(ProcessId(0), i)).unwrap();
             // Reads come and go: no pin outlives an iteration.
@@ -3742,27 +3573,13 @@ mod tests {
         }
         // Every publication retired a box; with no reader parked, the
         // threshold-triggered sweeps must have kept the backlog near the
-        // (adaptive, capped) reclaim threshold, not at the commit count.
+        // reclaim threshold, not at the commit count.
         assert!(
-            bt.epochs().pending_items() <= 2 * RECLAIM_PENDING_MAX,
+            bt.epochs().pending_items() <= 2 * RECLAIM_PENDING,
             "pending garbage stays bounded: {} items",
             bt.epochs().pending_items()
         );
         assert!(bt.epochs().reclaimed_items() >= n / 2);
-    }
-
-    /// The adaptive threshold reacts to the observed batch size: all-
-    /// inline (batch ≈ 1) runs sweep at the cap; a drain pattern with
-    /// fat batches drags the threshold back toward the floor.
-    #[test]
-    fn reclaim_threshold_adapts_to_batch_size() {
-        let bt = ConcurrentBlockTree::new(LongestChain, AcceptAll);
-        assert_eq!(bt.reclaim_threshold(), RECLAIM_PENDING_MAX, "mean 1.0");
-        // Simulate a contended history: fat batches reported by drains.
-        bt.avg_batch_x8.store(8 * 8, Ordering::Relaxed); // mean batch 8; relaxed: single-threaded test
-        assert_eq!(bt.reclaim_threshold(), RECLAIM_PENDING_MIN);
-        bt.avg_batch_x8.store(8 * 2, Ordering::Relaxed); // mean batch 2; relaxed: single-threaded test
-        assert_eq!(bt.reclaim_threshold(), RECLAIM_PENDING_MAX / 2);
     }
 
     /// Uncontended appends take the inline fast path: no queue traffic,
@@ -4092,6 +3909,100 @@ mod tests {
         for id in reported {
             assert!(log.contains(&id), "reported-committed {id} not in log");
         }
+    }
+
+    fn panic_on_insert(at: u32) -> PanicOnInsert {
+        PanicOnInsert {
+            at,
+            seen: std::sync::atomic::AtomicU32::new(0),
+        }
+    }
+
+    /// The inline episode's shield, deterministically: the appender's
+    /// own scoring pass panics after its insert, and the rescue still
+    /// publishes that insert before the panic resumes.
+    #[test]
+    fn inline_panic_still_publishes_its_insert() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let bt = ConcurrentBlockTree::new(panic_on_insert(3), AcceptAll);
+        for i in 0..2 {
+            bt.append(CandidateBlock::simple(ProcessId(0), i))
+                .unwrap()
+                .expect("AcceptAll");
+        }
+        let third = catch_unwind(AssertUnwindSafe(|| {
+            bt.append(CandidateBlock::simple(ProcessId(0), 2))
+        }));
+        assert!(third.is_err(), "the third insert's scoring panics");
+        assert_eq!(bt.read().len(), 4, "the panicked insert is published");
+        assert_eq!(bt.commit_log(), bt.read().ids()[1..]);
+        bt.append(CandidateBlock::simple(ProcessId(0), 3))
+            .unwrap()
+            .expect("the tree stays serviceable");
+        assert_eq!(bt.read().len(), 5);
+        assert_eq!(bt.selected_tip(), bt.selected_tip_full_scan());
+    }
+
+    /// The graft episode's shield, deterministically: a request queued
+    /// ahead of the graft resolves and publishes even though the graft's
+    /// own scoring pass panics.
+    #[test]
+    fn graft_panic_still_resolves_the_queued_batch() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // Inserts: `a` is the 1st, the queued `x` the 2nd, the graft the
+        // 3rd — the one that panics.
+        let bt = ConcurrentBlockTree::new(panic_on_insert(3), AcceptAll);
+        let a = bt
+            .append(CandidateBlock::simple(ProcessId(0), 0))
+            .unwrap()
+            .expect("AcceptAll");
+        let x = bt.store().mint(a, ProcessId(0), 0, 1, 1, Payload::Empty);
+        let req = CommitReq::new(x, a, true, 1);
+        // SAFETY: `req` outlives the graft below, whose episode takes and
+        // resolves it; nothing dereferences it afterwards.
+        unsafe { bt.queue.push(&req) };
+        let fork = bt
+            .store()
+            .mint(BlockId::GENESIS, ProcessId(1), 0, 1, 2, Payload::Empty);
+        let graft = catch_unwind(AssertUnwindSafe(|| bt.graft_minted(fork)));
+        assert!(graft.is_err(), "the graft's scoring panics");
+        assert_eq!(req.poll(), Some(Polled::Committed(x)));
+        assert!(
+            bt.read().ids().contains(&x),
+            "the queued commit is published"
+        );
+    }
+
+    /// A graft under an uncommitted parent is a caller bug and panics —
+    /// but before its episode takes the queue, so the requests parked
+    /// there are still resolved by the next episode instead of stranded.
+    #[test]
+    fn misused_graft_strands_no_queued_appender() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let bt = ConcurrentBlockTree::new(LongestChain, AcceptAll);
+        let x = bt
+            .store()
+            .mint(BlockId::GENESIS, ProcessId(0), 0, 1, 1, Payload::Empty);
+        let req = CommitReq::new(x, BlockId::GENESIS, true, 1);
+        // SAFETY: `req` outlives the append below, whose episode takes and
+        // resolves it; nothing dereferences it afterwards.
+        unsafe { bt.queue.push(&req) };
+        let loose = bt
+            .store()
+            .mint(BlockId::GENESIS, ProcessId(1), 0, 1, 2, Payload::Empty);
+        let child = bt
+            .store()
+            .mint(loose, ProcessId(1), 0, 1, 3, Payload::Empty);
+        let misuse = catch_unwind(AssertUnwindSafe(|| bt.graft_minted(child)));
+        let msg = misuse.expect_err("a graft under an uncommitted parent panics");
+        let msg = msg
+            .downcast_ref::<String>()
+            .expect("formatted assert message");
+        assert!(msg.contains("not committed to the tree"), "{msg}");
+        bt.append(CandidateBlock::simple(ProcessId(2), 4))
+            .unwrap()
+            .expect("AcceptAll");
+        assert!(req.poll().is_some(), "the queued request was resolved");
     }
 
     #[test]

@@ -152,12 +152,12 @@ fn churn_stress_bounds_retired_bags_across_20_seeds() {
 }
 
 /// Retirement now lands in per-thread bag slots (no global garbage
-/// mutex) and sweeps fire at an adaptive threshold capped at 256 pending
-/// boxes. From the outside that must look like: (a) the pending peak of
-/// an uncontended (inline-path, batch ≈ 1) run stays within a small
-/// multiple of the cap — the threshold adapts *up* but sweeps still
-/// fire; (b) at quiescence, every slot drains to zero — no bag is
-/// stranded in a slot whose retiring thread has exited.
+/// mutex) and sweeps fire once 256 boxes are pending. From the outside
+/// that must look like: (a) the pending peak of an uncontended
+/// (inline-path, batch ≈ 1) run stays within a small multiple of the
+/// threshold — sweeps still fire; (b) at quiescence, every slot drains
+/// to zero — no bag is stranded in a slot whose retiring thread has
+/// exited.
 #[test]
 fn per_thread_bags_bound_the_peak_and_drain_at_quiescence() {
     let tree = ConcurrentBlockTree::new(LongestChain, AcceptAll);

@@ -279,7 +279,8 @@ fn epoch_grace_mutant_is_caught() {
 /// The two-stage pipeline in miniature: `sel` guards the commit log and
 /// staging order, `publ` guards publication; whoever holds `publ` pops
 /// *all* staged batches and publishes them in order. Mirrors
-/// `stage_publication` + `publish_staged` in `concurrent.rs`.
+/// `stage_locked` (without a claim) + `publish_staged` in
+/// `concurrent.rs`.
 struct Pipe {
     sel: Mutex<u64>,
     staged: Mutex<Vec<u64>>,
@@ -401,7 +402,8 @@ impl Pipe {
     /// inside the `sel` region (claim order only — legal because no
     /// holder of `publ` ever waits on `sel`); on success the batch skips
     /// the staged queue and is published right after `sel` drops.
-    /// Mirrors `stage_inline_locked` + `publish_claimed`.
+    /// Mirrors `stage_locked` with a claim, then `settle` publishing the
+    /// claimed run (`publish_run`).
     fn commit_one_inline(&self) -> u64 {
         let mut log_len = self.sel.lock();
         *log_len += 1;
