@@ -92,13 +92,14 @@ fn bench_append_read(c: &mut Criterion) {
     g.finish();
 }
 
-/// The two-stage drain's scoring step in isolation: fold a fork-heavy
-/// 64-insert batch through the serial per-insert `on_insert` path vs the
-/// partition→shard-score→merge→apply batched path (`batch_score`), per
-/// rule. The batched path is what stage 1 runs under the selection lock,
-/// so its margin here is critical-section time saved per drain.
+/// The commit episode's scoring step in isolation: fold a fork-heavy
+/// 64-insert batch one insert at a time (`score_inserts` + `apply_partial`
+/// per block, as `ChainCache` does) vs in one pass over the batch (as a
+/// drained commit episode does), per rule. The one-pass path is what
+/// stage 1 runs under the selection lock, so its margin here is
+/// critical-section time saved per drain.
 fn bench_batch_scoring(c: &mut Criterion) {
-    use btadt_core::selection::{batch_score, SelectionAux, TipUpdate};
+    use btadt_core::selection::SelectionAux;
 
     let mut g = c.benchmark_group("blocktree/batch_score");
     let (store, members) = comb_store(500);
@@ -113,39 +114,26 @@ fn bench_batch_scoring(c: &mut Criterion) {
         ("ghost", Box::new(Ghost::default())),
     ];
     for (name, f) in &fns {
+        let serial = |aux: &mut SelectionAux| {
+            let mut t = tip_before;
+            for &id in &batch {
+                let partial = f.score_inserts(&store, &[id]);
+                t = f.apply_partial(&store, &members, aux, &partial, t);
+            }
+            t
+        };
         // Warm auxes outside the timed loop: both paths measure steady
         // state, not the one-off full rebuild.
         let mut serial_aux = SelectionAux::new();
-        let mut t = tip_before;
-        for &id in &batch {
-            match f.on_insert(&store, &members, &mut serial_aux, id, t) {
-                TipUpdate::Unchanged => {}
-                TipUpdate::Extended(nt) | TipUpdate::Switched(nt) => t = nt,
-            }
-        }
+        serial(&mut serial_aux);
         let mut batched_aux = serial_aux.clone();
         g.bench_function(BenchmarkId::new("serial_fold", name), |b| {
-            b.iter(|| {
-                let mut t = tip_before;
-                for &id in &batch {
-                    match f.on_insert(&store, &members, &mut serial_aux, id, t) {
-                        TipUpdate::Unchanged => {}
-                        TipUpdate::Extended(nt) | TipUpdate::Switched(nt) => t = nt,
-                    }
-                }
-                black_box(t)
-            });
+            b.iter(|| black_box(serial(&mut serial_aux)));
         });
         g.bench_function(BenchmarkId::new("batched", name), |b| {
             b.iter(|| {
-                black_box(batch_score(
-                    f.as_ref(),
-                    &store,
-                    &members,
-                    &mut batched_aux,
-                    &batch,
-                    tip_before,
-                ))
+                let partial = f.score_inserts(&store, &batch);
+                black_box(f.apply_partial(&store, &members, &mut batched_aux, &partial, tip_before))
             });
         });
     }

@@ -61,7 +61,8 @@ impl CandidateBlock {
 /// The selected chain is cached incrementally (see
 /// [`crate::tipcache::ChainCache`]): `selected_tip` is O(1), `read` never
 /// re-walks the genesis→tip path, and each successful insert re-selects
-/// through [`SelectionFn::on_insert`] instead of a full `f(bt)` rescan.
+/// through one incremental scoring pass ([`SelectionFn::score_inserts`] +
+/// [`SelectionFn::apply_partial`]) instead of a full `f(bt)` rescan.
 pub struct BlockTree<F: SelectionFn, P: ValidityPredicate> {
     store: BlockStore,
     tree: TreeMembership,

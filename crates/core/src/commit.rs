@@ -21,14 +21,15 @@
 //! 3. **Drain** (one winner): whichever enqueued appender acquires the
 //!    selection mutex — one CAS when uncontended, so the solo-appender
 //!    path pays nothing extra — drains the queue as a batch: mint
-//!    resolution + membership insert per request, then one batched
-//!    selection-scoring pass (`crate::selection::batch_score`) and a
-//!    *single* chain publication for the whole batch. Contended
-//!    appenders park on the mutex (no spin convoy); the incumbent
-//!    drainer usually resolves them before they wake, and a woken
-//!    appender that is still pending becomes the next drainer for
-//!    whatever queued meanwhile — a combining lock, with no dedicated
-//!    committer thread to wake, park, or shut down.
+//!    resolution + membership insert per request, then one selection
+//!    scoring pass over every insert (`SelectionFn::score_inserts` +
+//!    `apply_partial`, see `crate::selection`) and a *single* chain
+//!    publication for the whole batch. Contended appenders park on the
+//!    mutex (no spin convoy); the incumbent drainer usually resolves
+//!    them before they wake, and a woken appender that is still pending
+//!    becomes the next drainer for whatever queued meanwhile — a
+//!    combining lock, with no dedicated committer thread to wake, park,
+//!    or shut down.
 //!
 //! Request nodes live on the enqueueing appender's stack: the appender
 //! only returns after the drainer publishes the batch and resolves the
@@ -260,7 +261,7 @@ impl CommitQueue {
 ///
 /// The `*_ns` counters decompose where commit time goes under the
 /// two-stage pipeline — `drain_lock_ns` is wall time holding the
-/// selection (stage-1) lock, `score_ns` the slice of it spent in batch
+/// selection (stage-1) lock, `score_ns` the slice of it spent in
 /// selection scoring, `publish_ns` wall time holding the publication
 /// (stage-2) lock — so the bench can report the in-lock share of a
 /// contended drain and prove the publication critical section shrank.
@@ -280,8 +281,9 @@ pub struct PipelineStats {
     /// no status roundtrip (filled in by the tree; the queue itself never
     /// sees these).
     pub inline_appends: u64,
-    /// Wall nanoseconds spent in batch selection scoring (stage 1,
-    /// outside the publication lock; filled in by the tree).
+    /// Wall nanoseconds spent in selection scoring (stage 1, outside the
+    /// publication lock) in episodes that drained queued requests — a
+    /// slice of `drain_lock_ns` (filled in by the tree).
     pub score_ns: u64,
     /// Wall nanoseconds holding the publication lock (stage 2: WAL group
     /// commit + chain splice + pointer swap) in episodes that drained

@@ -38,18 +38,17 @@
 //!   mint resolution (a request whose optimistic parent lost the race is
 //!   re-minted under the authoritative tip, payload read back from the
 //!   orphan — the only copy, on the slow path only), membership inserts,
-//!   and *batched* selection scoring — the batch's inserts are
-//!   partitioned by genesis-child subtree, scored per shard into
-//!   mergeable partials, folded with the associative
-//!   `AuxPartial::merge`, and applied to the selection aux once
-//!   (`crate::selection::batch_score`). The episode then *stages* a
-//!   publication record and releases the selection lock. **Stage 2**,
-//!   under a separate publication lock: the WAL group-commit append
-//!   (persist-then-ack), the in-place chain splice, and the boxed-chain
-//!   pointer swap. Stage 2 of one batch overlaps stage 1 of the next;
-//!   staged batches publish strictly in commit-log order (whichever
-//!   thread holds the publication lock pops them all), and every request
-//!   status lands only after the publication covering it.
+//!   and *batched* selection scoring: one pass of the rule's
+//!   `score_inserts` and `apply_partial` over everything the episode
+//!   inserted, the same pair the sequential `ChainCache` runs per insert.
+//!   The episode then *stages* a publication record and releases the
+//!   selection lock. **Stage 2**, under a separate publication lock: the
+//!   WAL group-commit append (persist-then-ack), the in-place chain
+//!   splice, and the boxed-chain pointer swap. Stage 2 of one batch
+//!   overlaps stage 1 of the next; staged batches publish strictly in
+//!   commit-log order (whichever thread holds the publication lock pops
+//!   them all), and every request status lands only after the
+//!   publication covering it.
 //! * **Commit generation + parking** : every publication advances a
 //!   monotone generation counter (stored *after* the pointer swap);
 //!   decide-path waiters ([`ConcurrentBlockTree::wait_committed`],
@@ -103,7 +102,7 @@ use crate::chain::Blockchain;
 use crate::commit::{CommitQueue, CommitReq, FinalityWatermark, PipelineStats, Polled};
 use crate::epoch::{EpochDomain, Guard, RecycleBin};
 use crate::ids::BlockId;
-use crate::selection::{batch_score, SelectionAux, SelectionFn, TipUpdate};
+use crate::selection::{SelectionAux, SelectionFn};
 use crate::store::{BlockMeta, BlockStore, BlockView, TreeMembership};
 use crate::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{Condvar, Mutex};
@@ -2330,7 +2329,18 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
                 let mut sel = self.sel.lock();
                 self.commit_locked(&mut sel, Own::Queued)
             };
-            self.settle(episode);
+            let settled =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.settle(episode)));
+            if let Err(panic) = settled {
+                // A user-code panic in this episode must not unwind past
+                // `req` while an earlier episode that took it may still
+                // resolve it. That episode is past stage 1, so its
+                // settlement delivers the status.
+                while req.poll().is_none() {
+                    std::thread::yield_now();
+                }
+                std::panic::resume_unwind(panic);
+            }
         }
     }
 
@@ -2576,7 +2586,7 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
             self.inline_commits.fetch_add(1, Ordering::Relaxed);
         }
         // The one timer rule: clock exactly the episodes that drained
-        // queued requests.
+        // queued requests (their scoring passes included).
         let t0 = (!batch.is_empty()).then(std::time::Instant::now);
         // The episode's inserts are the commit-log suffix from here.
         let from = sel.commit_log.len();
@@ -2603,7 +2613,7 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
                     pending_tip = id;
                 }
             }
-            self.score_inserts_locked(sel, from);
+            self.score_inserts_locked(sel, from, t0.is_some());
             debug_assert_eq!(
                 sel.tip, pending_tip,
                 "a committed insert always extends the selected tip"
@@ -2617,7 +2627,7 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
                 if !sel.tree.contains(id) {
                     let graft_from = sel.commit_log.len();
                     self.insert_locked(sel, id, parent);
-                    self.score_inserts_locked(sel, graft_from);
+                    self.score_inserts_locked(sel, graft_from, t0.is_some());
                 }
             }
         }));
@@ -2703,11 +2713,12 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
 
     /// Folds the commit-log suffix from `from` — newly committed ids —
     /// into the selection aux and advances the authoritative tip: one
-    /// incremental `on_insert` for a single insert; the sharded
-    /// partition → score → merge → apply pipeline of [`batch_score`] for
-    /// anything larger. Runs user code; callers shield it (the stage-1
-    /// panic contract).
-    fn score_inserts_locked(&self, sel: &mut SelState, from: usize) {
+    /// `score_inserts` + `apply_partial` pass, whatever the suffix's
+    /// length. `timed` charges the pass to `stat_score_ns`; callers pass
+    /// the episode's drain-timer condition, so scoring time is a slice of
+    /// `stat_drain_ns` by construction. Runs user code; callers shield it
+    /// (the stage-1 panic contract).
+    fn score_inserts_locked(&self, sel: &mut SelState, from: usize, timed: bool) {
         let SelState {
             tree,
             commit_log,
@@ -2715,31 +2726,19 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
             tip,
             ..
         } = sel;
-        let tip_before = *tip;
-        *tip = match &commit_log[from..] {
-            [] => return,
-            [only] => match self
-                .selection
-                .on_insert(&self.store, tree, aux, *only, tip_before)
-            {
-                TipUpdate::Unchanged => tip_before,
-                TipUpdate::Extended(t) | TipUpdate::Switched(t) => t,
-            },
-            inserted => {
-                let t0 = std::time::Instant::now();
-                let new_tip = batch_score(
-                    &self.selection,
-                    &self.store,
-                    tree,
-                    aux,
-                    inserted,
-                    tip_before,
-                );
-                self.stat_score_ns
-                    .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed); // relaxed: stats counter
-                new_tip
-            }
-        };
+        let inserted = &commit_log[from..];
+        if inserted.is_empty() {
+            return;
+        }
+        let t0 = timed.then(std::time::Instant::now);
+        let partial = self.selection.score_inserts(&self.store, inserted);
+        *tip = self
+            .selection
+            .apply_partial(&self.store, tree, aux, &partial, *tip);
+        if let Some(t0) = t0 {
+            self.stat_score_ns
+                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed); // relaxed: stats counter
+        }
         #[cfg(debug_assertions)]
         debug_assert_eq!(
             *tip,
@@ -3182,9 +3181,9 @@ impl<F: SelectionFn, P: ValidityPredicate> ConcurrentBlockTree<F, P> {
             }
             tree.store.fill_recovery_gaps();
             tree.store.sort_recovered_children();
-            // One full-scan derivation instead of n incremental folds:
+            // One full-scan derivation instead of an incremental pass:
             // replay is offline (nothing is published yet), so the O(n)
-            // oracle scan is both simpler and faster than n× `on_insert`.
+            // oracle scan is both simpler and no slower.
             // The aux stays reset — the first live scoring pass re-seeds
             // it from the membership.
             sel.tip = tree.selection.select_tip(&tree.store, &sel.tree);
@@ -3806,8 +3805,9 @@ mod tests {
         assert_eq!(Ghost::default().select_tip(&snap, &tree), bt.selected_tip());
     }
 
-    /// A selection rule that panics on its nth membership insert —
-    /// injected user-code failure inside the drain's critical section.
+    /// A selection rule that panics in the scoring pass that covers its
+    /// nth membership insert — injected user-code failure inside the
+    /// drain's critical section.
     struct PanicOnInsert {
         at: u32,
         seen: std::sync::atomic::AtomicU32,
@@ -3822,18 +3822,28 @@ mod tests {
             LongestChain.select_tip(store, tree)
         }
 
-        fn on_insert(
+        fn score_inserts(
+            &self,
+            store: &dyn crate::store::BlockView,
+            inserts: &[BlockId],
+        ) -> crate::selection::AuxPartial {
+            let n = inserts.len() as u32;
+            let before = self.seen.fetch_add(n, Ordering::SeqCst);
+            if (before + 1..=before + n).contains(&self.at) {
+                panic!("injected selection panic");
+            }
+            LongestChain.score_inserts(store, inserts)
+        }
+
+        fn apply_partial(
             &self,
             store: &dyn crate::store::BlockView,
             tree: &TreeMembership,
             aux: &mut crate::selection::SelectionAux,
-            new_block: BlockId,
+            partial: &crate::selection::AuxPartial,
             current_tip: BlockId,
-        ) -> crate::selection::TipUpdate {
-            if self.seen.fetch_add(1, Ordering::SeqCst) + 1 == self.at {
-                panic!("injected selection panic");
-            }
-            LongestChain.on_insert(store, tree, aux, new_block, current_tip)
+        ) -> BlockId {
+            LongestChain.apply_partial(store, tree, aux, partial, current_tip)
         }
 
         fn name(&self) -> &'static str {
@@ -3971,6 +3981,89 @@ mod tests {
             bt.read().ids().contains(&x),
             "the queued commit is published"
         );
+    }
+
+    /// The one timer rule covers scoring: an episode that drained a
+    /// single queued request clocks its scoring pass as a slice of its
+    /// stage-1 hold, and an uncontended append clocks neither.
+    #[test]
+    fn drained_scoring_is_clocked_inside_the_drain_hold() {
+        let bt = ConcurrentBlockTree::new(LongestChain, AcceptAll);
+        let a = bt
+            .append(CandidateBlock::simple(ProcessId(0), 0))
+            .unwrap()
+            .expect("AcceptAll");
+        let inline = bt.pipeline_stats();
+        assert_eq!((inline.drain_lock_ns, inline.score_ns), (0, 0));
+        let x = bt.store().mint(a, ProcessId(0), 0, 1, 1, Payload::Empty);
+        let req = CommitReq::new(x, a, true, 1);
+        // SAFETY: `req` outlives the episode below, which takes and
+        // resolves it; nothing dereferences it afterwards.
+        unsafe { bt.queue.push(&req) };
+        let episode = bt.commit_locked(&mut bt.sel.lock(), Own::Queued);
+        bt.settle(episode);
+        assert_eq!(req.poll(), Some(Polled::Committed(x)));
+        let drained = bt.pipeline_stats();
+        assert!(drained.score_ns > 0, "the drained pass is clocked");
+        assert!(drained.score_ns <= drained.drain_lock_ns);
+    }
+
+    /// A woken queued appender whose request an earlier episode took
+    /// must not unwind out of `append`, dropping that stack request,
+    /// while the earlier episode still owes it a status — even when the
+    /// appender's own episode hits a user-code panic. The test holds the
+    /// earlier episode unsettled across the panic.
+    #[test]
+    fn queued_appender_waits_for_its_status_before_unwinding() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::AtomicBool;
+        // Inserts: A's request is the 1st, the test's `c` the 2nd — the
+        // one whose scoring panics, in A's own episode.
+        let bt = ConcurrentBlockTree::new(panic_on_insert(2), AcceptAll);
+        let finished = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let mut sel = bt.sel.lock();
+            let a = s.spawn(|| {
+                let r = catch_unwind(AssertUnwindSafe(|| {
+                    bt.append(CandidateBlock::simple(ProcessId(0), 0))
+                }));
+                finished.store(true, Ordering::SeqCst);
+                r.is_err()
+            });
+            // A cannot take `sel`, so it queues its request and parks on
+            // the lock; the first episode that finds the request keeps it.
+            let held = loop {
+                let episode = bt.commit_locked(&mut sel, Own::Queued);
+                if !episode.batch.is_empty() {
+                    break episode;
+                }
+                std::thread::yield_now();
+            };
+            let a_id = sel.tip;
+            let c_id = bt.store().mint(a_id, ProcessId(1), 0, 1, 1, Payload::Empty);
+            let c = CommitReq::new(c_id, a_id, true, 1);
+            // SAFETY: `c` outlives its resolution, which the loop below
+            // waits for; nothing dereferences it afterwards.
+            unsafe { bt.queue.push(&c) };
+            drop(sel);
+            // A's episode takes `c`, panics scoring it, and resolves it
+            // during settlement, just before resuming the panic.
+            while c.poll().is_none() {
+                std::thread::yield_now();
+            }
+            assert_eq!(c.poll(), Some(Polled::Committed(c_id)));
+            std::thread::sleep(std::time::Duration::from_millis(200));
+            assert!(
+                !finished.load(Ordering::SeqCst),
+                "A left `append` while the held episode still owes its request a status"
+            );
+            bt.settle(held);
+            assert!(
+                a.join().expect("A catches its own panic"),
+                "A resumes its episode's panic once its status lands"
+            );
+        });
+        assert_eq!(bt.commit_log(), bt.read().ids()[1..]);
     }
 
     /// A graft under an uncommitted parent is a caller bug and panics —

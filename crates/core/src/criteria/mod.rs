@@ -36,7 +36,6 @@ pub mod conjunctions;
 pub mod eventual_prefix;
 pub mod ever_growing_tree;
 pub mod local_monotonic_read;
-pub mod score_partition;
 pub mod strong_prefix;
 
 pub use conjunctions::{

@@ -21,7 +21,7 @@
 //! | Concern | Module |
 //! |---|---|
 //! | O(log n) ancestry/LCA (jump pointers) | [`store`] |
-//! | Incremental selection (`on_insert`/`TipUpdate`) | [`selection`] |
+//! | Incremental selection (`score_inserts`/`apply_partial`) | [`selection`] |
 //! | Cached selected chain, zero-rewalk `read()` | [`tipcache`] |
 //! | Epoch-based reclamation (grace periods for lock-free readers) | [`epoch`] |
 //! | Staged commit pipeline (batched appends) | [`commit`] |
@@ -97,7 +97,7 @@ pub mod prelude {
     };
     pub use crate::score::{LengthScore, ScoreFn, WorkScore};
     pub use crate::selection::{
-        Ghost, HeaviestWork, LongestChain, SelectionAux, SelectionFn, TipUpdate, TrivialProjection,
+        Ghost, HeaviestWork, LongestChain, SelectionAux, SelectionFn, TrivialProjection,
     };
     pub use crate::store::{BlockMeta, BlockStore, BlockView, TreeMembership};
     pub use crate::tipcache::ChainCache;

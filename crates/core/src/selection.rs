@@ -15,47 +15,38 @@
 //! # Incremental contract
 //!
 //! `select_tip` re-evaluates `f` from scratch — the literal Def. 3.1
-//! semantics, kept as the specification oracle. The hot path uses
-//! [`SelectionFn::on_insert`] instead: given the tip selected *before* a
-//! block joined the tree, it answers how the selection changes, in O(log n)
-//! for the chain rules and O(depth of the insert) for GHOST. Callers
-//! (see [`crate::tipcache::ChainCache`]) own a [`SelectionAux`] scratch
-//! holding whatever per-tree state a rule maintains (GHOST: subtree
-//! weights), which keeps this trait object-safe and the selection values
-//! themselves stateless and shareable, as the paper requires.
+//! semantics, kept as the specification oracle. The hot path scores
+//! membership inserts incrementally instead, in two calls:
+//! [`SelectionFn::score_inserts`] condenses a run of inserted blocks into
+//! an [`AuxPartial`] from immutable per-block metadata alone, and
+//! [`SelectionFn::apply_partial`] folds that into the rule's state and
+//! answers the new tip — one comparison against the memoized incumbent
+//! for the chain rules, a leaf→root weight walk per insert plus one check
+//! per fork for GHOST. Every caller uses the same pair:
+//! [`crate::tipcache::ChainCache`] scores one insert at a time, the
+//! concurrent commit episode scores everything it inserted in one pass.
+//! Callers own a [`SelectionAux`] scratch holding whatever per-tree state
+//! a rule maintains (GHOST: subtree weights), which keeps this trait
+//! object-safe and the selection values themselves stateless and
+//! shareable, as the paper requires.
 //!
-//! `on_insert` may assume:
+//! `apply_partial` may assume:
 //!
-//! * `new_block` is a member of `tree` and was inserted *after* the call
-//!   that reported `current_tip` (exactly one membership insert per call,
-//!   in insertion order);
-//! * `current_tip` was the rule's selected tip for the tree without
-//!   `new_block` (the caller maintains this inductively, seeding it with a
-//!   full `select_tip` scan);
+//! * the scored blocks are members of `tree`, listed in a parent-closed
+//!   order, and were all inserted *after* the call that reported
+//!   `current_tip`;
+//! * `current_tip` was the rule's selected tip for the tree without them
+//!   (the caller maintains this inductively, seeding it with a full
+//!   `select_tip` scan);
 //! * the same `aux` is threaded through every call for a given tree.
 
 use crate::ids::BlockId;
 use crate::store::{BlockView, TreeMembership};
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
-
-/// How the selected tip changed when one block joined the tree — the
-/// result of the incremental path of a [`SelectionFn`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TipUpdate {
-    /// The previously selected chain is still selected.
-    Unchanged,
-    /// The new tip is a child of the previous tip: the selected chain grew
-    /// by exactly one block (`{b0}⌢f(bt)⌢{b}`, the common case).
-    Extended(BlockId),
-    /// The selection moved to a different branch (a reorg); the new tip is
-    /// not a child of the previous one.
-    Switched(BlockId),
-}
 
 /// Per-tree scratch state for incremental selection, owned by the caller
-/// and threaded through [`SelectionFn::on_insert`]. Chain rules ignore it;
-/// GHOST maintains its subtree weights here.
+/// and threaded through [`SelectionFn::apply_partial`]. Chain rules keep
+/// the incumbent's score here; GHOST maintains its subtree weights.
 #[derive(Clone, Debug, Default)]
 pub struct SelectionAux {
     /// GHOST: weight of the membership subtree rooted at each block
@@ -84,14 +75,6 @@ impl SelectionAux {
         self.tip_score = None;
     }
 
-    /// Whether the weight state reflects a tree (false until the first
-    /// GHOST scoring pass, and again after [`reset`](Self::reset)). A cold
-    /// aux rebuilds from the *current* membership on first use, so
-    /// incremental folds are only meaningful once this is true.
-    pub fn is_ready(&self) -> bool {
-        self.ready
-    }
-
     #[inline]
     fn weight(&self, id: BlockId) -> u64 {
         self.subtree_weight.get(id.index()).copied().unwrap_or(0)
@@ -106,21 +89,15 @@ impl SelectionAux {
     }
 }
 
-/// A rule's score contribution from one shard of a batch of inserts — the
-/// unit the two-stage drain farms out per subtree and folds back together
-/// with [`AuxPartial::merge`] before touching the shared [`SelectionAux`].
+/// A run of inserts condensed by [`SelectionFn::score_inserts`] — what
+/// [`SelectionFn::apply_partial`] folds into the shared [`SelectionAux`].
 ///
-/// The representation is rule-agnostic so the merge is too:
+/// The representation is rule-agnostic:
 ///
-/// * `weights` — GHOST-style own-weights of the inserted blocks, sorted by
-///   id (duplicates summed on merge). Chain rules leave this empty.
-/// * `best` — the shard's best `(score, block)` under a chain rule's total
+/// * `weights` — GHOST-style own-weights of the inserted blocks, in
+///   insert order. Chain rules leave this empty.
+/// * `best` — the run's best `(score, block)` under a chain rule's total
 ///   order (score, then path-lexicographic). GHOST leaves this `None`.
-///
-/// `merge` is associative and commutative — summing multisets and taking
-/// the max of a total order both are — so shards can be folded in any
-/// grouping and any order and produce the same value. That is the contract
-/// the drain relies on and the proptests pin down.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AuxPartial {
     weights: Vec<(BlockId, u64)>,
@@ -128,30 +105,20 @@ pub struct AuxPartial {
 }
 
 impl AuxPartial {
-    /// The empty contribution (identity of `merge`).
+    /// The empty contribution: no inserts.
     pub fn empty() -> Self {
         AuxPartial::default()
     }
 
     /// A GHOST-style contribution: one own-weight per inserted block.
-    /// Ids are sorted and deduplicated (duplicate weights summed).
-    pub fn from_weights(mut weights: Vec<(BlockId, u64)>) -> Self {
-        weights.sort_unstable_by_key(|&(id, _)| id);
-        weights.dedup_by(|next, keep| {
-            if next.0 == keep.0 {
-                keep.1 += next.1;
-                true
-            } else {
-                false
-            }
-        });
+    pub fn from_weights(weights: Vec<(BlockId, u64)>) -> Self {
         AuxPartial {
             weights,
             best: None,
         }
     }
 
-    /// A chain-rule contribution: the shard's best-scored block.
+    /// A chain-rule contribution: the run's best-scored block.
     pub fn from_best(score: u64, id: BlockId) -> Self {
         AuxPartial {
             weights: Vec::new(),
@@ -159,12 +126,7 @@ impl AuxPartial {
         }
     }
 
-    /// Whether this partial carries no contribution at all.
-    pub fn is_empty(&self) -> bool {
-        self.weights.is_empty() && self.best.is_none()
-    }
-
-    /// The inserted-block weights, sorted by id.
+    /// The inserted-block weights, in insert order.
     pub fn weights(&self) -> &[(BlockId, u64)] {
         &self.weights
     }
@@ -173,103 +135,6 @@ impl AuxPartial {
     pub fn best(&self) -> Option<(u64, BlockId)> {
         self.best
     }
-
-    /// Folds `other` into `self`. Associative and commutative: `weights`
-    /// merge as a sorted multiset sum, `best` as the max under the rule's
-    /// total order — score first, then the deterministic path-lexicographic
-    /// tie-break every rule already uses, so equal-score shards resolve
-    /// identically regardless of merge order.
-    pub fn merge(mut self, store: &dyn BlockView, other: AuxPartial) -> AuxPartial {
-        if !other.weights.is_empty() {
-            if self.weights.is_empty() {
-                self.weights = other.weights;
-            } else {
-                let a = std::mem::take(&mut self.weights);
-                let mut merged = Vec::with_capacity(a.len() + other.weights.len());
-                let (mut i, mut j) = (0, 0);
-                while i < a.len() && j < other.weights.len() {
-                    match a[i].0.cmp(&other.weights[j].0) {
-                        Ordering::Less => {
-                            merged.push(a[i]);
-                            i += 1;
-                        }
-                        Ordering::Greater => {
-                            merged.push(other.weights[j]);
-                            j += 1;
-                        }
-                        Ordering::Equal => {
-                            merged.push((a[i].0, a[i].1 + other.weights[j].1));
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                }
-                merged.extend_from_slice(&a[i..]);
-                merged.extend_from_slice(&other.weights[j..]);
-                self.weights = merged;
-            }
-        }
-        self.best = match (self.best, other.best) {
-            (a, None) => a,
-            (None, b) => b,
-            (Some((sa, ia)), Some((sb, ib))) => {
-                let other_wins = sb
-                    .cmp(&sa)
-                    .then_with(|| cmp_paths_lexicographic(store, ib, ia))
-                    == Ordering::Greater;
-                Some(if other_wins { (sb, ib) } else { (sa, ia) })
-            }
-        };
-        self
-    }
-}
-
-/// Partitions a batch of inserted blocks by the genesis-child subtree each
-/// falls under (its ancestor at height 1) — the sharding key the two-stage
-/// drain uses to farm score updates before the associative merge. Shards
-/// appear in first-encounter order; within a shard the batch order is kept.
-pub fn partition_by_subtree(store: &dyn BlockView, inserts: &[BlockId]) -> Vec<Vec<BlockId>> {
-    let mut shards: Vec<(BlockId, Vec<BlockId>)> = Vec::new();
-    for &id in inserts {
-        let key = if store.height(id) == 0 {
-            id
-        } else {
-            store.ancestor_at(id, 1)
-        };
-        match shards.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, shard)) => shard.push(id),
-            None => shards.push((key, vec![id])),
-        }
-    }
-    shards.into_iter().map(|(_, shard)| shard).collect()
-}
-
-/// Two-stage batch scoring: partition `inserts` by subtree, score each
-/// shard to an [`AuxPartial`], fold the partials with the associative
-/// [`AuxPartial::merge`], and apply the result to `aux`. Returns the new
-/// selected tip.
-///
-/// `inserts` must be members of `tree`, parent-closed, and all inserted
-/// after the call that reported `current_tip`; the result equals folding
-/// [`SelectionFn::on_insert`] over them serially (differential-tested, and
-/// cross-checked against the full-scan `select_tip` oracle in debug
-/// builds by the concurrent drain).
-pub fn batch_score(
-    rule: &dyn SelectionFn,
-    store: &dyn BlockView,
-    tree: &TreeMembership,
-    aux: &mut SelectionAux,
-    inserts: &[BlockId],
-    current_tip: BlockId,
-) -> BlockId {
-    if inserts.is_empty() {
-        return current_tip;
-    }
-    let merged = partition_by_subtree(store, inserts)
-        .into_iter()
-        .map(|shard| rule.score_inserts(store, &shard))
-        .fold(AuxPartial::empty(), |acc, p| acc.merge(store, p));
-    rule.apply_partial(store, tree, aux, &merged, current_tip)
 }
 
 /// A deterministic selection function `f : BT → BC`, given by the tip of the
@@ -282,66 +147,31 @@ pub trait SelectionFn: Sync {
     /// oracle that the incremental path is differential-tested against.
     fn select_tip(&self, store: &dyn BlockView, tree: &TreeMembership) -> BlockId;
 
-    /// Incremental re-selection after `new_block` joined `tree` (see the
-    /// module docs for what may be assumed). The default falls back to a
-    /// full `select_tip` scan, so custom rules are correct before they are
-    /// fast.
-    fn on_insert(
-        &self,
-        store: &dyn BlockView,
-        tree: &TreeMembership,
-        _aux: &mut SelectionAux,
-        _new_block: BlockId,
-        current_tip: BlockId,
-    ) -> TipUpdate {
-        let tip = self.select_tip(store, tree);
-        if tip == current_tip {
-            TipUpdate::Unchanged
-        } else if store.parent(tip) == Some(current_tip) {
-            TipUpdate::Extended(tip)
-        } else {
-            TipUpdate::Switched(tip)
-        }
-    }
-
-    /// Scores one shard of a batch of inserts into an [`AuxPartial`]
-    /// (see [`batch_score`]). Only immutable per-block metadata may be
-    /// read — shard scoring runs before any shared selection state is
-    /// touched, so it must not depend on `aux` or on membership order.
+    /// Scores a run of inserted blocks into an [`AuxPartial`] for
+    /// [`apply_partial`](Self::apply_partial). Only immutable per-block
+    /// metadata may be read — not `aux`, not the membership — so the
+    /// result depends on the blocks alone.
     ///
-    /// The default carries the shard as unit weights, which the default
-    /// `apply_partial` folds serially — correct before fast.
+    /// The default carries the run as unit weights.
     fn score_inserts(&self, _store: &dyn BlockView, inserts: &[BlockId]) -> AuxPartial {
         AuxPartial::from_weights(inserts.iter().map(|&id| (id, 1)).collect())
     }
 
-    /// Applies a merged batch contribution to `aux`, returning the new
-    /// selected tip. `partial` is the [`AuxPartial::merge`]-fold of
-    /// `score_inserts` over a partition of blocks that are already members
-    /// of `tree` and were all inserted after the call that reported
-    /// `current_tip`.
+    /// Folds a scored run into `aux` and returns the new selected tip
+    /// (see the module docs for what may be assumed). `partial` is
+    /// `score_inserts` over blocks that are already members of `tree`.
     ///
-    /// The default replays the per-insert path in ascending id order (ids
-    /// are minted parent-first, so that order is parent-closed). Rules
-    /// whose `on_insert` reads membership state beyond the new block's
-    /// own path should override with a true batch step — the serial
-    /// replay sees the *final* membership at every step.
+    /// The default is the full `select_tip` scan, so custom rules are
+    /// correct before they are fast.
     fn apply_partial(
         &self,
         store: &dyn BlockView,
         tree: &TreeMembership,
-        aux: &mut SelectionAux,
-        partial: &AuxPartial,
-        current_tip: BlockId,
+        _aux: &mut SelectionAux,
+        _partial: &AuxPartial,
+        _current_tip: BlockId,
     ) -> BlockId {
-        let mut tip = current_tip;
-        for &(id, _) in partial.weights() {
-            match self.on_insert(store, tree, aux, id, tip) {
-                TipUpdate::Unchanged => {}
-                TipUpdate::Extended(t) | TipUpdate::Switched(t) => tip = t,
-            }
-        }
-        tip
+        self.select_tip(store, tree)
     }
 
     /// Human-readable name for reports.
@@ -393,49 +223,7 @@ fn cmp_paths_lexicographic(store: &dyn BlockView, a: BlockId, b: BlockId) -> Ord
     }
 }
 
-/// Shared incremental step for the two chain-scoring rules (longest,
-/// heaviest): the tip is the arg-max over leaves of a score that is
-/// memoized per block, so one insert only ever pits the new leaf against
-/// the incumbent.
-fn chain_rule_on_insert(
-    store: &dyn BlockView,
-    aux: &mut SelectionAux,
-    new_block: BlockId,
-    current_tip: BlockId,
-    score: impl Fn(&crate::store::BlockMeta) -> u64,
-) -> TipUpdate {
-    // One meta read covers the new block's score *and* its parent link;
-    // the incumbent's score comes from the aux memo (a block's score is
-    // immutable, so a matching memo is never stale) — on the concurrent
-    // store this turns three shard-lock crossings per insert into one.
-    let new_meta = store.meta(new_block);
-    let new_score = score(&new_meta);
-    let tip_score = match aux.tip_score {
-        Some((tip, s)) if tip == current_tip => s,
-        _ => score(&store.meta(current_tip)),
-    };
-    match new_score
-        .cmp(&tip_score)
-        .then_with(|| cmp_paths_lexicographic(store, new_block, current_tip))
-    {
-        Ordering::Greater => {
-            aux.tip_score = Some((new_block, new_score));
-            if new_meta.parent == Some(current_tip) {
-                TipUpdate::Extended(new_block)
-            } else {
-                TipUpdate::Switched(new_block)
-            }
-        }
-        // The incumbent keeps winning; the only leaf the insert removed is
-        // the new block's parent, which the incumbent already beat (or is).
-        Ordering::Less | Ordering::Equal => {
-            aux.tip_score = Some((current_tip, tip_score));
-            TipUpdate::Unchanged
-        }
-    }
-}
-
-/// Shard scoring for the chain rules: a shard's contribution is just its
+/// Insert scoring for the chain rules: a run's contribution is just its
 /// best `(score, block)` — scores are immutable per block, so this reads
 /// one meta per insert and no shared state.
 fn chain_rule_score_inserts(
@@ -466,10 +254,12 @@ fn chain_rule_score_inserts(
     }
 }
 
-/// Batch apply for the chain rules: the tip after a batch is the arg-max
-/// over {incumbent} ∪ batch, and the merged partial already holds the
-/// batch's arg-max, so this is one comparison against the memoized tip
-/// score — the batched counterpart of [`chain_rule_on_insert`].
+/// Re-selection for the chain rules: the tip is the arg-max over leaves of
+/// a per-block score, and every leaf a run of inserts removed was beaten
+/// by the incumbent (or was it, and is now beaten by its extension), so
+/// the new tip is the arg-max over {incumbent} ∪ run. The partial already
+/// holds the run's arg-max, and the incumbent's score comes from the aux
+/// memo, so this is one comparison.
 fn chain_rule_apply_partial(
     store: &dyn BlockView,
     aux: &mut SelectionAux,
@@ -527,17 +317,6 @@ impl SelectionFn for LongestChain {
         best.expect("tree always contains genesis")
     }
 
-    fn on_insert(
-        &self,
-        store: &dyn BlockView,
-        _tree: &TreeMembership,
-        aux: &mut SelectionAux,
-        new_block: BlockId,
-        current_tip: BlockId,
-    ) -> TipUpdate {
-        chain_rule_on_insert(store, aux, new_block, current_tip, |m| m.height as u64)
-    }
-
     fn score_inserts(&self, store: &dyn BlockView, inserts: &[BlockId]) -> AuxPartial {
         chain_rule_score_inserts(store, inserts, |m| m.height as u64)
     }
@@ -587,17 +366,6 @@ impl SelectionFn for HeaviestWork {
             });
         }
         best.expect("tree always contains genesis")
-    }
-
-    fn on_insert(
-        &self,
-        store: &dyn BlockView,
-        _tree: &TreeMembership,
-        aux: &mut SelectionAux,
-        new_block: BlockId,
-        current_tip: BlockId,
-    ) -> TipUpdate {
-        chain_rule_on_insert(store, aux, new_block, current_tip, |m| m.cum_work)
     }
 
     fn score_inserts(&self, store: &dyn BlockView, inserts: &[BlockId]) -> AuxPartial {
@@ -763,53 +531,6 @@ impl SelectionFn for Ghost {
         }
     }
 
-    /// Incremental GHOST: the insert adds `own_weight(b)` to every subtree
-    /// on the genesis→`b` path (an O(depth) leaf→root walk over the
-    /// maintained weights), and the greedy descent can only change at the
-    /// fork between the old tip's path and `b`'s path — above it both paths
-    /// share vertices whose chosen child just gained weight, below the old
-    /// side nothing moved. So the re-selection is one O(log n) LCA, one
-    /// child comparison, and a descent only when the fork actually flips.
-    fn on_insert(
-        &self,
-        store: &dyn BlockView,
-        tree: &TreeMembership,
-        aux: &mut SelectionAux,
-        new_block: BlockId,
-        current_tip: BlockId,
-    ) -> TipUpdate {
-        if !aux.ready {
-            // First incremental call on this tree: weights include
-            // `new_block` already, nothing to add on top.
-            self.init_aux(store, tree, aux);
-        } else {
-            let own = self.own_weight(store, new_block);
-            let mut cur = Some(new_block);
-            while let Some(id) = cur {
-                aux.add_weight(id, own);
-                cur = store.parent(id);
-            }
-        }
-
-        let lca = store.common_ancestor(current_tip, new_block);
-        if lca == current_tip {
-            // The old tip was a member leaf, so the only member path
-            // through it is the new block itself: the selected chain grew.
-            debug_assert_eq!(store.parent(new_block), Some(current_tip));
-            return TipUpdate::Extended(new_block);
-        }
-        let fork_height = store.height(lca) + 1;
-        let incumbent = store.ancestor_at(current_tip, fork_height);
-        let winner = self
-            .heaviest_child(store, tree, aux, lca)
-            .expect("lca has member children on both paths");
-        if winner == incumbent {
-            TipUpdate::Unchanged
-        } else {
-            TipUpdate::Switched(self.descend(store, tree, aux, winner))
-        }
-    }
-
     fn score_inserts(&self, store: &dyn BlockView, inserts: &[BlockId]) -> AuxPartial {
         AuxPartial::from_weights(
             inserts
@@ -819,18 +540,17 @@ impl SelectionFn for Ghost {
         )
     }
 
-    /// Batched GHOST: one converging leaf→root walk propagates every
-    /// inserted weight (entries are processed deepest-first and pushed to
-    /// their parent, so shared ancestor paths are walked once — O(|union
-    /// of the insert paths|) instead of O(batch × depth)), then one
-    /// descent re-selects from the highest fork the batch could have
-    /// flipped.
-    ///
-    /// The descent may start at the old tip's ancestor at `h_min`, the
-    /// minimum height of LCA(old tip, b) over the inserted blocks `b`: a
-    /// flip at a node `v` strictly above every such LCA would need a
-    /// non-chosen child of `v` to gain weight, which would make `v` itself
-    /// an LCA of the old tip and some insert — contradicting minimality.
+    /// Incremental GHOST: each insert adds its own weight to every subtree
+    /// on its genesis→block path (an O(depth) leaf→root walk over the
+    /// maintained weights). The greedy descent can only change at a
+    /// *fork*, where an insert's path leaves the old tip's path: elsewhere
+    /// on that path only the chosen child gained weight, and below the
+    /// old side nothing moved. So re-selection takes one O(log n) LCA per
+    /// insert and one child comparison per fork, highest fork first, and
+    /// descends only from the first fork whose heaviest child flipped. If
+    /// none flipped, the old tip stays selected unless inserts extend it:
+    /// the old tip was a member leaf, so a single insert under it is the
+    /// new leaf, and several re-descend from it.
     fn apply_partial(
         &self,
         store: &dyn BlockView,
@@ -839,34 +559,49 @@ impl SelectionFn for Ghost {
         partial: &AuxPartial,
         current_tip: BlockId,
     ) -> BlockId {
-        if partial.weights().is_empty() {
-            return current_tip;
-        }
         if !aux.ready {
-            // First batch on this tree: the rebuild sees the inserts'
-            // weights already, nothing to propagate on top.
+            // First pass on this tree: the rebuild sees the inserts'
+            // weights already, nothing to add on top.
             self.init_aux(store, tree, aux);
         } else {
-            let mut pending: BTreeMap<(u32, BlockId), u64> = BTreeMap::new();
             for &(id, w) in partial.weights() {
-                *pending.entry((store.height(id), id)).or_insert(0) += w;
-            }
-            while let Some((&(h, id), _)) = pending.last_key_value() {
-                let w = pending.remove(&(h, id)).expect("entry just observed");
-                aux.add_weight(id, w);
-                if let Some(p) = store.parent(id) {
-                    *pending.entry((h - 1, p)).or_insert(0) += w;
+                let mut cur = Some(id);
+                while let Some(b) = cur {
+                    aux.add_weight(b, w);
+                    cur = store.parent(b);
                 }
             }
         }
-        let h_min = partial
-            .weights()
-            .iter()
-            .map(|&(id, _)| store.height(store.common_ancestor(current_tip, id)))
-            .min()
-            .expect("non-empty batch");
-        let start = store.ancestor_at(current_tip, h_min);
-        self.descend(store, tree, aux, start)
+        let mut forks: Vec<(u32, BlockId)> = Vec::new();
+        let (mut extensions, mut leaf) = (0, current_tip);
+        for &(id, _) in partial.weights() {
+            let fork = store.common_ancestor(current_tip, id);
+            if fork == current_tip {
+                extensions += 1;
+                leaf = id;
+            } else {
+                forks.push((store.height(fork), fork));
+            }
+        }
+        forks.sort_unstable();
+        forks.dedup();
+        for (h, fork) in forks {
+            let incumbent = store.ancestor_at(current_tip, h + 1);
+            let winner = self
+                .heaviest_child(store, tree, aux, fork)
+                .expect("a fork has member children on both paths");
+            if winner != incumbent {
+                return self.descend(store, tree, aux, winner);
+            }
+        }
+        match extensions {
+            0 => current_tip,
+            1 => {
+                debug_assert_eq!(store.parent(leaf), Some(current_tip));
+                leaf
+            }
+            _ => self.descend(store, tree, aux, current_tip),
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -894,19 +629,24 @@ impl SelectionFn for TrivialProjection {
         leaves[0]
     }
 
-    fn on_insert(
+    /// Each insert, in order, must extend the tip before it.
+    fn apply_partial(
         &self,
         store: &dyn BlockView,
         _tree: &TreeMembership,
         _aux: &mut SelectionAux,
-        new_block: BlockId,
+        partial: &AuxPartial,
         current_tip: BlockId,
-    ) -> TipUpdate {
-        assert!(
-            store.parent(new_block) == Some(current_tip),
-            "TrivialProjection requires a forkless tree, {new_block} does not extend {current_tip}"
-        );
-        TipUpdate::Extended(new_block)
+    ) -> BlockId {
+        let mut tip = current_tip;
+        for &(id, _) in partial.weights() {
+            assert!(
+                store.parent(id) == Some(tip),
+                "TrivialProjection requires a forkless tree, {id} does not extend {tip}"
+            );
+            tip = id;
+        }
+        tip
     }
 
     fn name(&self) -> &'static str {
@@ -1041,6 +781,19 @@ mod tests {
         let (s, ..) = forked();
         let t = TreeMembership::full(&s);
         TrivialProjection.select_tip(&s, &t);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not extend")]
+    fn trivial_projection_rejects_forks_incrementally() {
+        let (s, a, b1, b2, _) = forked();
+        let mut t = TreeMembership::genesis_only();
+        for id in [a, b1, b2] {
+            t.insert(&s, id);
+        }
+        let partial = TrivialProjection.score_inserts(&s, &[a, b1, b2]);
+        let mut aux = SelectionAux::new();
+        TrivialProjection.apply_partial(&s, &t, &mut aux, &partial, BlockId::GENESIS);
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! Def. 3.1 re-evaluates `f(bt)` on every `append` and materializes
 //! `{b0}⌢f(bt)` on every `read`. [`ChainCache`] keeps both answers warm:
 //!
-//! * the **tip** of `f(bt)`, maintained through
-//!   [`SelectionFn::on_insert`] instead of an O(tree) rescan — O(log n)
-//!   per insert for the chain rules, O(depth of the inserted block) for
-//!   GHOST (its weight update walks leaf→root);
+//! * the **tip** of `f(bt)`, maintained by scoring each insert through
+//!   [`SelectionFn::score_inserts`] + [`SelectionFn::apply_partial`]
+//!   instead of an O(tree) rescan — O(log n) per insert for the chain
+//!   rules, O(depth of the inserted block) for GHOST (its weight update
+//!   walks leaf→root);
 //! * the **chain** `{b0}⌢f(bt)` itself, as a [`Blockchain`] over a shared
 //!   grow-only buffer: extension pushes in place (amortized O(1)),
 //!   reorgs splice at the fork (O(log n) LCA + O(changed suffix)), and
@@ -29,7 +30,7 @@
 
 use crate::chain::Blockchain;
 use crate::ids::BlockId;
-use crate::selection::{SelectionAux, SelectionFn, TipUpdate};
+use crate::selection::{SelectionAux, SelectionFn};
 use crate::store::{BlockView, TreeMembership};
 
 /// Cached selection state for one BlockTree replica.
@@ -64,8 +65,9 @@ impl ChainCache {
         self.aux.reset();
     }
 
-    /// Reports one membership insert to the selection function and folds
-    /// the resulting [`TipUpdate`] into the cached chain.
+    /// Reports one membership insert to the selection function — a
+    /// scoring pass over `[new_block]` — and moves the cached chain to the
+    /// tip it answers.
     pub fn on_insert(
         &mut self,
         selection: &dyn SelectionFn,
@@ -73,22 +75,10 @@ impl ChainCache {
         tree: &TreeMembership,
         new_block: BlockId,
     ) {
-        match selection.on_insert(store, tree, &mut self.aux, new_block, self.chain.tip()) {
-            TipUpdate::Unchanged => {}
-            TipUpdate::Extended(t) => {
-                debug_assert_eq!(store.parent(t), Some(self.chain.tip()));
-                self.chain.push_in_place(t);
-            }
-            TipUpdate::Switched(t) => self.splice_to(store, t),
-        }
+        let partial = selection.score_inserts(store, &[new_block]);
+        let tip = selection.apply_partial(store, tree, &mut self.aux, &partial, self.chain.tip());
+        advance_chain(store, &mut self.chain, tip);
         self.debug_validate(selection, store, tree);
-    }
-
-    /// Moves the cached chain to end at `new_tip`, reusing the shared
-    /// prefix: truncate at the fork, then append the new suffix. Costs
-    /// O(log n) for the LCA plus O(|changed suffix|).
-    fn splice_to(&mut self, store: &dyn BlockView, new_tip: BlockId) {
-        advance_chain(store, &mut self.chain, new_tip);
     }
 
     /// The cached tip of `f(bt)` — O(1).

@@ -384,76 +384,6 @@ proptest! {
             "sequential execution must linearize: {:?}", r
         );
     }
-
-    // ── Sharded-selection merge laws (the two-stage drain contract) ─────
-
-    /// `AuxPartial::merge` must be associative and order-insensitive, and
-    /// the merged partial must not depend on how the batch was sharded at
-    /// all: the subtree partition the drain uses, random chunkings, and
-    /// per-insert singletons all fold to the same value. This is what lets
-    /// stage 1 score shards independently and apply once.
-    #[test]
-    fn aux_partial_merge_is_associative_and_partition_insensitive(
-        store in arb_store(50),
-        chunk_seed in any::<u64>(),
-    ) {
-        use btadt_core::selection::{partition_by_subtree, AuxPartial, GhostWeight};
-
-        // `arb_store` always mints at least one block past genesis.
-        let inserts: Vec<BlockId> = store.ids().skip(1).collect();
-        prop_assert!(!inserts.is_empty());
-        let rules: Vec<Box<dyn SelectionFn>> = vec![
-            Box::new(LongestChain),
-            Box::new(HeaviestWork),
-            Box::new(Ghost { weight: GhostWeight::BlockCount }),
-            Box::new(Ghost { weight: GhostWeight::Work }),
-        ];
-        for rule in &rules {
-            let fold = |shards: &[Vec<BlockId>]| -> AuxPartial {
-                shards
-                    .iter()
-                    .map(|s| rule.score_inserts(&store, s))
-                    .fold(AuxPartial::empty(), |acc, p| acc.merge(&store, p))
-            };
-
-            // The drain's subtree partition, folded forward.
-            let subtree = partition_by_subtree(&store, &inserts);
-            let baseline = fold(&subtree);
-
-            // Order-insensitivity: reversed shard order.
-            let reversed: Vec<Vec<BlockId>> =
-                subtree.iter().rev().cloned().collect();
-            prop_assert_eq!(&fold(&reversed), &baseline, "rule {}", rule.name());
-
-            // Associativity: right fold over the same shards.
-            let right = subtree
-                .iter()
-                .rev()
-                .map(|s| rule.score_inserts(&store, s))
-                .fold(AuxPartial::empty(), |acc, p| p.merge(&store, acc));
-            prop_assert_eq!(&right, &baseline, "rule {} right fold", rule.name());
-
-            // Partition-insensitivity: random chunking of the raw batch
-            // (cuts derived from chunk_seed) and per-insert singletons.
-            let mut chunks: Vec<Vec<BlockId>> = Vec::new();
-            let mut i = 0usize;
-            let mut step = 0u64;
-            while i < inserts.len() {
-                let w = 1 + (btadt_core::ids::splitmix64_at(chunk_seed, step) % 5) as usize;
-                chunks.push(inserts[i..(i + w).min(inserts.len())].to_vec());
-                i += w;
-                step += 1;
-            }
-            prop_assert_eq!(&fold(&chunks), &baseline, "rule {} chunked", rule.name());
-
-            let singletons: Vec<Vec<BlockId>> =
-                inserts.iter().map(|&id| vec![id]).collect();
-            prop_assert_eq!(
-                &fold(&singletons), &baseline,
-                "rule {} singletons", rule.name()
-            );
-        }
-    }
 }
 
 // ── Ancestry edge cases (deterministic, no strategies needed) ───────────

@@ -1,10 +1,10 @@
-//! Differential tests: the incremental selection path (`on_insert` +
-//! `ChainCache`) must agree bit-for-bit with the full-scan `select_tip`
-//! oracle of Def. 3.1 — on every insert of randomized fork-heavy
-//! workloads, for every shipped selection rule. This is what preserves
-//! the paper's hierarchy/criteria results across the performance
-//! refactor: every consistency checker consumes chains produced by
-//! `read()`, and `read()` now comes off the cache.
+//! Differential tests: the incremental selection path (`score_inserts` +
+//! `apply_partial`, driven by `ChainCache`) must agree bit-for-bit with
+//! the full-scan `select_tip` oracle of Def. 3.1 — on every insert of
+//! randomized fork-heavy workloads, for every shipped selection rule.
+//! This is what preserves the paper's hierarchy/criteria results across
+//! the performance refactor: every consistency checker consumes chains
+//! produced by `read()`, and `read()` now comes off the cache.
 //!
 //! Two workload shapes:
 //!
@@ -21,7 +21,9 @@
 use btadt_core::block::Payload;
 use btadt_core::chain::Blockchain;
 use btadt_core::ids::{splitmix64_at, BlockId, ProcessId};
-use btadt_core::selection::{Ghost, GhostWeight, HeaviestWork, LongestChain, SelectionFn};
+use btadt_core::selection::{
+    Ghost, GhostWeight, HeaviestWork, LongestChain, SelectionAux, SelectionFn,
+};
 use btadt_core::store::{BlockStore, TreeMembership};
 use btadt_core::tipcache::ChainCache;
 
@@ -384,19 +386,13 @@ fn mixed_inline_and_staged_commits_replay_identically() {
     }
 }
 
-/// The two-stage drain's sharded scoring: partition each drained batch by
-/// subtree, score the shards independently, fold them with the
-/// associative `merge`, apply once — and land exactly where the serial
-/// per-insert `on_insert` fold lands, which is itself held to the
-/// full-scan `select_tip` oracle. 20 seeds of fork-heavy random batches,
-/// for longest, heaviest, and both GHOST weightings, through the
-/// `check_partition_merge` checker (which also replays the shard fold in
-/// reverse order to catch merge-order sensitivity).
+/// One scoring pass over a drained batch (`score_inserts` over the whole
+/// batch, `apply_partial` once) must land exactly where the one-insert-
+/// at-a-time fold lands, and both on the full-scan `select_tip` oracle,
+/// after every batch. 20 seeds of fork-heavy random batches, for
+/// longest, heaviest, and both GHOST weightings.
 #[test]
-fn sharded_batch_scoring_matches_serial_fold() {
-    use btadt_core::criteria::score_partition::check_partition_merge;
-    use btadt_core::selection::{batch_score, SelectionAux, TipUpdate};
-
+fn batch_scoring_matches_serial_fold() {
     for seed in 0..20u64 {
         // Mint a fork-heavy tree; mint order is parent-closed, so any
         // consecutive slice of it is a valid drained batch.
@@ -417,67 +413,134 @@ fn sharded_batch_scoring_matches_serial_fold() {
         }
 
         for (name, rule) in rules() {
-            // Batched pipeline state vs the serial commit-log fold. The
-            // serial side keeps its own membership and inserts one block
-            // at a time, exactly as the pre-pipeline drain did — so its
-            // incremental state is warmed against the tree-so-far, never
-            // against a tree that already holds the rest of the batch.
-            let mut tree = TreeMembership::genesis_only();
-            let mut aux = SelectionAux::new();
-            let mut tip = BlockId::GENESIS;
-            let mut serial_tree = TreeMembership::genesis_only();
-            let mut serial_aux = SelectionAux::new();
-            let mut serial_tip = BlockId::GENESIS;
-            let mut commit_log: Vec<BlockId> = Vec::new();
-            let mut serial_log: Vec<BlockId> = Vec::new();
-
+            let mut batches = Vec::new();
             let mut next = 1usize;
-            let mut batch_no = 0u64;
             while next <= n_blocks {
                 // Drained batches of 1..=6 commits, like a contended drain.
-                let want = 1 + (splitmix64_at(seed ^ 0xBA7C, batch_no) % 6) as usize;
-                let batch: Vec<BlockId> = minted[next..(next + want).min(n_blocks + 1)].to_vec();
-                next += batch.len();
-                batch_no += 1;
-
-                for &id in &batch {
-                    tree.insert(&store, id);
-                }
-                let violations =
-                    check_partition_merge(rule.as_ref(), &store, &tree, &aux, &batch, tip);
-                assert!(
-                    violations.is_empty(),
-                    "seed {seed} batch {batch_no} rule {name}: {violations:?}"
-                );
-                tip = batch_score(rule.as_ref(), &store, &tree, &mut aux, &batch, tip);
-                commit_log.extend_from_slice(&batch);
-
-                // Serial fold over the identical commits, one at a time.
-                for &id in &batch {
-                    serial_tree.insert(&store, id);
-                    match rule.on_insert(&store, &serial_tree, &mut serial_aux, id, serial_tip) {
-                        TipUpdate::Unchanged => {}
-                        TipUpdate::Extended(t) | TipUpdate::Switched(t) => serial_tip = t,
-                    }
-                    serial_log.push(id);
-                }
-                assert_eq!(
-                    tip, serial_tip,
-                    "seed {seed} batch {batch_no} rule {name}: batched tip diverged"
-                );
+                let want = 1 + (splitmix64_at(seed ^ 0xBA7C, batches.len() as u64) % 6) as usize;
+                let end = (next + want).min(n_blocks + 1);
+                batches.push(minted[next..end].to_vec());
+                next = end;
             }
-            assert_eq!(commit_log, serial_log, "seed {seed} rule {name}");
-            assert_eq!(
-                tip,
-                rule.select_tip(&store, &tree),
-                "seed {seed} rule {name}: final tip vs oracle"
-            );
-            assert_eq!(
-                Blockchain::from_tip(&store, tip),
-                Blockchain::from_tip(&store, serial_tip),
-                "seed {seed} rule {name}: chains diverged"
+            assert_batched_matches_serial(
+                rule.as_ref(),
+                &store,
+                &batches,
+                &format!("seed {seed} rule {name}"),
             );
         }
+    }
+}
+
+/// Feeds `batches` (parent-closed, in order) through one scoring pass per
+/// batch and, on a membership of its own, one pass per insert — exactly
+/// as the pre-pipeline drain did, so the serial state is warmed against
+/// the tree-so-far, never against a tree that already holds the rest of
+/// the batch. After every batch both tips must equal the full scan.
+fn assert_batched_matches_serial(
+    rule: &dyn SelectionFn,
+    store: &BlockStore,
+    batches: &[Vec<BlockId>],
+    ctx: &str,
+) {
+    let mut tree = TreeMembership::genesis_only();
+    let mut aux = SelectionAux::new();
+    let mut tip = BlockId::GENESIS;
+    let mut serial_tree = TreeMembership::genesis_only();
+    let mut serial_aux = SelectionAux::new();
+    let mut serial_tip = BlockId::GENESIS;
+    for (batch_no, batch) in batches.iter().enumerate() {
+        for &id in batch {
+            tree.insert(store, id);
+        }
+        let partial = rule.score_inserts(store, batch);
+        tip = rule.apply_partial(store, &tree, &mut aux, &partial, tip);
+
+        for &id in batch {
+            serial_tree.insert(store, id);
+            let partial = rule.score_inserts(store, &[id]);
+            serial_tip =
+                rule.apply_partial(store, &serial_tree, &mut serial_aux, &partial, serial_tip);
+        }
+        let oracle = rule.select_tip(store, &tree);
+        assert_eq!(
+            tip, serial_tip,
+            "{ctx} batch {batch_no}: batched tip diverged from the serial fold"
+        );
+        assert_eq!(
+            tip, oracle,
+            "{ctx} batch {batch_no}: batched tip diverged from the full scan"
+        );
+    }
+}
+
+/// Deep reorgs through one-pass scoring, for both GHOST weightings: a
+/// 2,000-block chain, a competing branch forked within 10 blocks of
+/// genesis that grows until it outweighs the chain, then the chain
+/// overtaking it again — fed in mixed batches, so both flips happen at a
+/// deep fork inside a multi-insert pass. The benchmark's grafts attach
+/// within 64 blocks of the tip, and the other differentials stay under
+/// 90 blocks, so nothing else drives these paths.
+#[test]
+fn ghost_deep_reorgs_match_serial_fold() {
+    for weight in [GhostWeight::BlockCount, GhostWeight::Work] {
+        let rule = Ghost { weight };
+        let seed = weight as u64;
+        let mut store = BlockStore::new();
+        let mut main = vec![BlockId::GENESIS];
+        let mut step = 0u64;
+        let mut mint = |store: &mut BlockStore, parent: BlockId| {
+            step += 1;
+            let work = 1 + splitmix64_at(seed ^ 0xDEE9, step) % 4;
+            store.mint(parent, ProcessId(0), 0, work, step, Payload::Empty)
+        };
+        let mut batches: Vec<Vec<BlockId>> = Vec::new();
+        // The chain, extended at its tip in batches of 1..=6.
+        while main.len() <= 2_000 {
+            let want = 1 + (splitmix64_at(seed ^ 0xC4A1, batches.len() as u64) % 6) as usize;
+            let batch: Vec<BlockId> = (0..want)
+                .map(|_| {
+                    let b = mint(&mut store, *main.last().unwrap());
+                    main.push(b);
+                    b
+                })
+                .collect();
+            batches.push(batch);
+        }
+        let fork_at = main[1 + (splitmix64_at(seed, 1) % 9) as usize];
+        let mut rival = vec![fork_at];
+        let mut flips = 0;
+        let mut on_rival = false;
+        // Mixed batches of 2..=6: mostly the favoured branch, at least
+        // one block of the other. The rival is favoured until the full
+        // scan selects it; then the chain is, until it is selected again.
+        let mut tree = TreeMembership::full(&store);
+        while flips < 2 {
+            assert!(
+                batches.len() < 20_000,
+                "{weight:?}: the reorgs never happened"
+            );
+            let want = 2 + (splitmix64_at(seed ^ 0x5EED, batches.len() as u64) % 5) as usize;
+            let batch: Vec<BlockId> = (0..want)
+                .map(|i| {
+                    let to_rival = on_rival == (i == 0);
+                    let branch = if to_rival { &mut rival } else { &mut main };
+                    let b = mint(&mut store, *branch.last().unwrap());
+                    branch.push(b);
+                    b
+                })
+                .collect();
+            for &b in &batch {
+                tree.insert(&store, b);
+            }
+            batches.push(batch);
+            let selected_rival = store.is_ancestor(rival[1], rule.select_tip(&store, &tree));
+            if selected_rival != on_rival {
+                on_rival = selected_rival;
+                flips += 1;
+            }
+        }
+        assert_batched_matches_serial(&rule, &store, &batches, &format!("{weight:?}"));
     }
 }
 

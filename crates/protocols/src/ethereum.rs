@@ -13,7 +13,7 @@
 //! * the block interval : delivery-delay ratio is more aggressive, so
 //!   forks ("uncles") are more frequent — which is exactly the regime
 //!   GHOST was designed for. Each replica maintains GHOST's subtree
-//!   weights incrementally (`SelectionFn::on_insert` updates the
+//!   weights incrementally (`SelectionFn::apply_partial` updates the
 //!   leaf→root path per applied block), so the uncle-heavy regime does
 //!   not degrade per-delivery selection to a full-tree weight rebuild.
 

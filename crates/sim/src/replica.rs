@@ -11,8 +11,9 @@
 //! present — memberships stay parent-closed by construction.
 //!
 //! Each replica also owns a [`ChainCache`]: `update_i` re-selects
-//! incrementally through [`SelectionFn::on_insert`] as blocks take effect,
-//! so the per-delivery cost is amortized O(1)/O(log n) instead of a full
+//! incrementally as blocks take effect, scoring each through
+//! [`SelectionFn::score_inserts`] + [`SelectionFn::apply_partial`], so the
+//! per-delivery cost is amortized O(1)/O(log n) instead of a full
 //! `f(bt_i)` rescan, and `read`/`tip` are O(1). The cache requires every
 //! `update` to be driven by the *same* selection function `f` — which the
 //! paper guarantees ("encoded in the state", common to all replicas of a
