@@ -11,8 +11,7 @@ fn usage() -> ! {
     eprintln!("usage: experiments <exp>…");
     eprintln!("experiments: fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10");
     eprintln!("             fig11 fig12 fig13 fig14 table1 ablate-k");
-    eprintln!("             ablate-selection peercensus-security fairness");
-    eprintln!("             bench-selection bench-concurrent bench-consensus all");
+    eprintln!("             ablate-selection peercensus-security fairness all");
     std::process::exit(2);
 }
 
@@ -42,9 +41,6 @@ fn main() {
             "ablate-selection" => btadt_bench::ablate_selection(),
             "peercensus-security" => btadt_bench::peercensus_security(),
             "fairness" => btadt_bench::fairness(),
-            "bench-selection" => btadt_bench::bench_selection(),
-            "bench-concurrent" => btadt_bench::bench_concurrent(),
-            "bench-consensus" => btadt_bench::bench_consensus(),
             "all" => btadt_bench::all(),
             other => {
                 eprintln!("unknown experiment: {other}");

@@ -1,7 +1,8 @@
 //! Experiment drivers regenerating every figure and table of
-//! *Blockchain Abstract Data Type* as text output (see EXPERIMENTS.md for
-//! the recorded results). Each `fig*`/`table*` function prints one
-//! artifact; the `experiments` binary dispatches on names.
+//! *Blockchain Abstract Data Type* as text output. Each `fig*`/`table*`
+//! function prints one artifact and asserts the paper-predicted outcome;
+//! the `experiments` binary dispatches on names. Performance is measured
+//! by the repository's benchmark (`benchmark/`), not here.
 
 use btadt_core::adt::{check_sequential_history, AbstractDataType, Operation};
 use btadt_core::blocktree::{BlockTreeAdt, BtInput, BtOutput, CandidateBlock};
@@ -712,8 +713,8 @@ pub fn fairness() {
 /// The canonical append+read client loop on the incremental path
 /// (`append` + cached `read`). Returns a fold of the observed chain
 /// lengths so callers can cross-check both paths saw identical chains.
-/// Shared by `bench_selection` and the `blocktree_ops` criterion bench
-/// so both always measure the same workload.
+/// The `blocktree_ops` criterion bench times it against
+/// [`append_read_full_scan`] (`append_read/*`).
 pub fn append_read_incremental(n: u64) -> usize {
     use btadt_core::validity::AcceptAll;
     let mut bt = btadt_core::blocktree::BlockTree::new(LongestChain, AcceptAll);
@@ -740,795 +741,6 @@ pub fn append_read_full_scan(n: u64) -> usize {
         acc += chain.len();
     }
     acc
-}
-
-/// Bench S — incremental selection & zero-copy reads vs the full Def. 3.1
-/// rescan, on the canonical append+read client loop. Prints a table and
-/// emits `BENCH_selection.json` for trend tracking. Run under `--release`;
-/// the full-scan baseline at 100k blocks is O(n²) by construction (that
-/// is the point).
-pub fn bench_selection() {
-    hr("Bench S — incremental vs full-scan selection (append+read loop)");
-
-    fn incremental_loop(n: u64) -> (std::time::Duration, usize) {
-        let start = Instant::now();
-        let acc = append_read_incremental(n);
-        (start.elapsed(), acc)
-    }
-
-    fn full_scan_loop(n: u64) -> (std::time::Duration, usize) {
-        let start = Instant::now();
-        let acc = append_read_full_scan(n);
-        (start.elapsed(), acc)
-    }
-
-    if cfg!(debug_assertions) {
-        println!("note: unoptimized build — run with --release for honest numbers");
-    }
-    println!(
-        "{:>9} {:>18} {:>18} {:>9}",
-        "blocks", "incremental", "full-scan", "speedup"
-    );
-    let mut rows = Vec::new();
-    for &n in &[10_000u64, 100_000] {
-        let (t_inc, a1) = incremental_loop(n);
-        let (t_full, a2) = full_scan_loop(n);
-        assert_eq!(a1, a2, "both paths must observe identical chains");
-        let ops = 2 * n; // one append + one read per block
-        let inc_rate = ops as f64 / t_inc.as_secs_f64();
-        let full_rate = ops as f64 / t_full.as_secs_f64();
-        let speedup = inc_rate / full_rate;
-        println!(
-            "{n:>9} {:>13.0} op/s {:>13.0} op/s {speedup:>8.1}x",
-            inc_rate, full_rate
-        );
-        rows.push(format!(
-            "    {{\"blocks\": {n}, \"ops\": {ops}, \
-             \"incremental_ops_per_sec\": {inc_rate:.1}, \
-             \"full_scan_ops_per_sec\": {full_rate:.1}, \
-             \"speedup\": {speedup:.2}}}"
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"selection_append_read\",\n  \
-         \"selection\": \"longest-chain\",\n  \
-         \"optimized\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
-        !cfg!(debug_assertions),
-        rows.join(",\n")
-    );
-    match std::fs::write("BENCH_selection.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_selection.json"),
-        Err(e) => println!("\ncould not write BENCH_selection.json: {e}"),
-    }
-}
-
-/// Sizing override for the bench drivers (the CI bench-smoke step runs
-/// them at tiny sizes so the binaries cannot bit-rot between manual
-/// runs): a positive integer in the named env var wins over `default`.
-fn env_size(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(default)
-}
-
-/// Bench C — the concurrent BT-ADT under 1/2/4/8 appender+reader thread
-/// pairs, against the sequential incremental `BlockTree` on the same
-/// total operation budget, plus a forced-overlap **contended** row.
-/// Prints a table and emits `BENCH_concurrent.json`. Run under
-/// `--release` (debug builds also carry the per-insert full-scan
-/// cross-check, which is the bulk of the cost there). Sizes honor
-/// `BTADT_BENCH_APPENDS` / `BTADT_BENCH_TRIALS` /
-/// `BTADT_BENCH_DURABLE` for the CI smoke run.
-///
-/// The `durable` rows rerun the append workload on an
-/// [`open_durable`](btadt_core::concurrent::ConcurrentBlockTree::open_durable)
-/// tree (WAL + fsync before ack) and report the group-commit evidence:
-/// appends/s with durability on, plus records-per-fsync from
-/// `wal_stats`.
-///
-/// Appends and reads are reported as **separate series** per thread
-/// count: PR 2's combined ops/sec number hid append serialization behind
-/// the read volume. Appends are two-speed — inline commits when the
-/// selection mutex is free on the first CAS (the `inline` count), the
-/// staged batching queue when a drainer is at work (the `batch` column
-/// is the mean commits per drain) — and reads are epoch-pinned borrows
-/// with no shared refcount line. Each row also reports the epoch
-/// domain's `retired_bytes_peak` — the reclamation high-water mark over
-/// the run.
-///
-/// The plain thread rows rarely overlap on a single-core container
-/// (appends serialize by time slice, so `mean_batch` pins at 1.0); the
-/// `contended` row forces overlap from a start barrier with a metadata
-/// scanner thread holding the selection lock in bursts
-/// (`commit_log()` clones under it), so queue pile-ups — and batches —
-/// form even time-sliced.
-pub fn bench_concurrent() {
-    use btadt_core::concurrent::ConcurrentBlockTree;
-    use btadt_core::validity::AcceptAll;
-    use std::sync::Barrier;
-
-    hr("Bench C — concurrent BT-ADT: thread scaling vs sequential baseline");
-    if cfg!(debug_assertions) {
-        println!("note: unoptimized build — run with --release for honest numbers");
-    }
-    let total_appends: u64 = env_size(
-        "BTADT_BENCH_APPENDS",
-        if cfg!(debug_assertions) {
-            2_000
-        } else {
-            100_000
-        },
-    );
-    let total_reads: u64 = 4 * total_appends;
-
-    // Sequential baselines: the same budgets on the single-threaded
-    // incremental path, appends and reads timed separately.
-    let (base_append_rate, base_read_rate) = {
-        let mut bt = btadt_core::blocktree::BlockTree::new(LongestChain, AcceptAll);
-        let start = Instant::now();
-        for i in 0..total_appends {
-            bt.append(CandidateBlock::simple(ProcessId(0), i));
-        }
-        let append_rate = total_appends as f64 / start.elapsed().as_secs_f64();
-        let start = Instant::now();
-        let mut acc = 0usize;
-        for _ in 0..total_reads {
-            acc += bt.read().len();
-        }
-        std::hint::black_box(acc);
-        let read_rate = total_reads as f64 / start.elapsed().as_secs_f64();
-        (append_rate, read_rate)
-    };
-    println!(
-        "{:>22} {:>10} {:>13} {:>10} {:>13} {:>12} {:>7}",
-        "configuration", "appends", "appends/s", "reads", "reads/s", "retired peak", "batch"
-    );
-    println!(
-        "{:>22} {total_appends:>10} {base_append_rate:>13.0} {total_reads:>10} \
-         {base_read_rate:>13.0} {:>12} {:>7}",
-        "sequential (1 thread)", "-", "-"
-    );
-
-    let mut rows = vec![format!(
-        "    {{\"threads\": 0, \"label\": \"sequential\", \"appends\": {total_appends}, \
-         \"appends_per_sec\": {base_append_rate:.1}, \"reads\": {total_reads}, \
-         \"reads_per_sec\": {base_read_rate:.1}}}"
-    )];
-    // Scheduler noise dwarfs the effect under test on small machines
-    // (this container has one core), so each configuration reports the
-    // per-series best over the trials (each series' max taken
-    // independently — the conventional throughput-bench answer to "how
-    // fast can this configuration go"; retired_bytes_peak takes its max
-    // as the worst case observed). Trials are interleaved round-robin
-    // across the configurations so frequency/thermal drift over the
-    // bench's runtime does not systematically penalize the later, larger
-    // thread counts.
-    let trials = env_size("BTADT_BENCH_TRIALS", 5) as usize;
-    let configs = [1usize, 2, 4, 8];
-    let mut best = [(0f64, 0f64, 0usize, 0f64, 0u64, 0usize); 4];
-    let mut tip_series = [(0u64, 0f64); 4];
-    for trial in 0..trials {
-        for (ci, &threads) in configs.iter().enumerate() {
-            let appends_each = total_appends / threads as u64;
-            let reads_each = total_reads / threads as u64;
-            let done_appends = appends_each * threads as u64;
-            let done_reads = reads_each * threads as u64;
-            let tree = ConcurrentBlockTree::new(LongestChain, AcceptAll);
-            // Each thread group is timed to its own last finisher: the
-            // appends/s and reads/s series measure the phases that
-            // actually ran, not whichever group straggled.
-            let barrier = Barrier::new(2 * threads);
-            let (append_wall, read_wall) = std::thread::scope(|s| {
-                let mut appenders = Vec::new();
-                let mut readers = Vec::new();
-                for t in 0..threads as u32 {
-                    let (tree, barrier) = (&tree, &barrier);
-                    appenders.push(s.spawn(move || {
-                        barrier.wait();
-                        let start = Instant::now();
-                        for i in 0..appends_each {
-                            let nonce = ((t as u64) << 40) | i;
-                            let _ = tree.append(CandidateBlock::simple(ProcessId(t), nonce));
-                        }
-                        start.elapsed().as_secs_f64()
-                    }));
-                    readers.push(s.spawn(move || {
-                        barrier.wait();
-                        let start = Instant::now();
-                        let mut acc = 0usize;
-                        for _ in 0..reads_each {
-                            acc += tree.read().len();
-                        }
-                        std::hint::black_box(acc);
-                        start.elapsed().as_secs_f64()
-                    }));
-                }
-                let a = appenders
-                    .into_iter()
-                    .map(|h| h.join().expect("appender"))
-                    .fold(0f64, f64::max);
-                let r = readers
-                    .into_iter()
-                    .map(|h| h.join().expect("reader"))
-                    .fold(0f64, f64::max);
-                (a, r)
-            });
-            assert_eq!(
-                tree.read().len() as u64,
-                done_appends + 1,
-                "every append must have committed"
-            );
-            best[ci].0 = best[ci].0.max(done_appends as f64 / append_wall);
-            best[ci].1 = best[ci].1.max(done_reads as f64 / read_wall);
-            best[ci].2 = best[ci].2.max(tree.epochs().retired_bytes_peak());
-            best[ci].3 = best[ci].3.max(tree.pipeline_stats().mean_batch());
-            best[ci].4 = best[ci].4.max(tree.pipeline_stats().inline_appends);
-            best[ci].5 = best[ci].5.max(tree.store().approx_heap_bytes());
-            if trial == trials - 1 {
-                // Tip-read scaling on the now-populated tree:
-                // `selected_tip` is the refcount-free half of the read
-                // path (one atomic load), so it shows the parallelism
-                // headroom without the shared-`Arc` cache-line traffic
-                // that bounds full-chain reads. Measured here, on the
-                // configuration's final trial, so the ~100k-block tree
-                // drops at the end of this iteration — keeping all four
-                // populated trees alive until after the trial loop
-                // inflated the bench footprint (and cache pressure on
-                // this one-core container) for no measurement benefit.
-                let tip_reads_each = 4 * total_reads / threads as u64;
-                let start = Instant::now();
-                std::thread::scope(|s| {
-                    for _ in 0..threads {
-                        let tree = &tree;
-                        s.spawn(move || {
-                            let mut acc = 0u64;
-                            for _ in 0..tip_reads_each {
-                                acc ^= tree.selected_tip().0 as u64;
-                            }
-                            std::hint::black_box(acc);
-                        });
-                    }
-                });
-                let tip_total = tip_reads_each * threads as u64;
-                tip_series[ci] = (tip_total, tip_total as f64 / start.elapsed().as_secs_f64());
-            }
-        }
-    }
-    for (ci, &threads) in configs.iter().enumerate() {
-        let appends_each = total_appends / threads as u64;
-        let reads_each = total_reads / threads as u64;
-        let done_appends = appends_each * threads as u64;
-        let done_reads = reads_each * threads as u64;
-        let (append_rate, read_rate, retired_peak, mean_batch, inline, arena) = best[ci];
-        println!(
-            "{:>18} +{threads}r {done_appends:>10} {append_rate:>13.0} {done_reads:>10} \
-             {read_rate:>13.0} {retired_peak:>10} B {mean_batch:>7.2}",
-            format!("concurrent {threads}a"),
-        );
-        rows.push(format!(
-            "    {{\"threads\": {threads}, \"label\": \"concurrent\", \"appends\": {done_appends}, \
-             \"appends_per_sec\": {append_rate:.1}, \"reads\": {done_reads}, \
-             \"reads_per_sec\": {read_rate:.1}, \"retired_bytes_peak\": {retired_peak}, \
-             \"mean_batch\": {mean_batch:.2}, \"inline_appends\": {inline}, \
-             \"arena_bytes\": {arena}}}"
-        ));
-        let (tip_total, tip_rate) = tip_series[ci];
-        println!(
-            "{:>22} {:>10} {:>13} {tip_total:>10} {tip_rate:>13.0} {:>12} {:>7}",
-            format!("tip reads ({threads} thr)"),
-            "-",
-            "-",
-            "-",
-            "-"
-        );
-        rows.push(format!(
-            "    {{\"threads\": {threads}, \"label\": \"tip_reads\", \"appends\": 0, \
-             \"reads\": {tip_total}, \"reads_per_sec\": {tip_rate:.1}}}"
-        ));
-    }
-
-    // Forced-overlap contended configuration: 4 appenders released from
-    // one start barrier race a metadata scanner that repeatedly clones
-    // the commit log *under the selection lock*. Appenders that hit the
-    // held lock fall back to the staged queue and pile up; whoever gets
-    // the lock next drains them as one batch — so `mean_batch` can
-    // exceed 1.0 even on a single-core container, which is what makes
-    // the batching path measurable here at all (the plain rows above
-    // only batch when the scheduler happens to preempt a lock holder).
-    {
-        use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
-        let threads = 4usize;
-        let appends_each = total_appends / (2 * threads as u64);
-        let done_appends = appends_each * threads as u64;
-        let mut best_rate = 0f64;
-        let (mut mean_batch, mut max_batch, mut inline) = (0f64, 0u64, 0u64);
-        let (mut drain_ns, mut score_ns, mut publish_ns) = (0u64, 0u64, 0u64);
-        for _ in 0..trials {
-            let tree = ConcurrentBlockTree::new(LongestChain, AcceptAll);
-            let done = AtomicBool::new(false);
-            // Appenders + scanner + the timing (main) thread.
-            let barrier = Barrier::new(threads + 2);
-            // Whole-phase wall clock (barrier release → last appender
-            // joined), not per-thread spans: this row exists to measure
-            // forced overlap, and per-thread spans overstate a run whose
-            // threads happened to time-slice sequentially.
-            let wall = std::thread::scope(|s| {
-                let mut appenders = Vec::new();
-                for t in 0..threads as u32 {
-                    let (tree, barrier) = (&tree, &barrier);
-                    appenders.push(s.spawn(move || {
-                        barrier.wait();
-                        for i in 0..appends_each {
-                            let nonce = (1u64 << 50) | ((t as u64) << 40) | i;
-                            let _ = tree.append(CandidateBlock::simple(ProcessId(t), nonce));
-                        }
-                    }));
-                }
-                let (tree, barrier, done) = (&tree, &barrier, &done);
-                let scanner = s.spawn(move || {
-                    barrier.wait();
-                    let mut acc = 0usize;
-                    while !done.load(AtomicOrdering::Relaxed) {
-                        acc += tree.commit_log().len();
-                    }
-                    std::hint::black_box(acc);
-                });
-                barrier.wait();
-                let start = Instant::now();
-                for h in appenders {
-                    h.join().expect("appender");
-                }
-                let wall = start.elapsed().as_secs_f64();
-                done.store(true, AtomicOrdering::Relaxed);
-                scanner.join().expect("scanner");
-                wall
-            });
-            assert_eq!(tree.read().len() as u64, done_appends + 1);
-            let stats = tree.pipeline_stats();
-            best_rate = best_rate.max(done_appends as f64 / wall);
-            // Independent maxima, like the plain configs: the best-rate
-            // trial is often the one the scanner barely touched (batch
-            // 0), while the batching evidence this row exists for comes
-            // from the trials where the overlap actually happened.
-            mean_batch = mean_batch.max(stats.mean_batch());
-            max_batch = max_batch.max(stats.max_batch);
-            inline = inline.max(stats.inline_appends);
-            drain_ns = drain_ns.max(stats.drain_lock_ns);
-            score_ns = score_ns.max(stats.score_ns);
-            publish_ns = publish_ns.max(stats.publish_ns);
-        }
-        // The pipeline's whole point: of the time a drained batch spends
-        // in the machinery, how much still serializes on the selection
-        // lock (stage 1) vs the publication lock (stage 2, overlappable
-        // with the next drain). Pre-pipeline this ratio was 1.00 by
-        // construction — everything ran under the one selection lock.
-        let sel_lock_share = drain_ns as f64 / (drain_ns + publish_ns).max(1) as f64;
-        println!(
-            "{:>22} {done_appends:>10} {best_rate:>13.0} {:>10} {:>13} {:>12} {mean_batch:>7.2}",
-            format!("contended {threads}a+scan"),
-            format!("{:.2} sl", sel_lock_share),
-            "-",
-            "-"
-        );
-        rows.push(format!(
-            "    {{\"threads\": {threads}, \"label\": \"contended\", \"appends\": {done_appends}, \
-             \"appends_per_sec\": {best_rate:.1}, \"mean_batch\": {mean_batch:.2}, \
-             \"max_batch\": {max_batch}, \"inline_appends\": {inline}, \
-             \"drain_lock_ns\": {drain_ns}, \"score_ns\": {score_ns}, \
-             \"publish_ns\": {publish_ns}, \"sel_lock_share\": {sel_lock_share:.3}}}"
-        ));
-    }
-
-    // Fork-heavy GHOST contended configuration: the same forced-overlap
-    // recipe, but under the rule whose scoring actually walks the tree —
-    // 4 appenders extending the GHOST tip race a forker grafting at
-    // random depths of the published chain (real reorg pressure, so the
-    // batched scoring path exercises subtree partitioning and the
-    // converging weight walk, not just the chain-rule max).
-    {
-        use btadt_core::selection::Ghost;
-        use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
-        let threads = 4usize;
-        let appends_each = total_appends / (2 * threads as u64);
-        let grafts: u64 = appends_each / 4;
-        let done_appends = appends_each * threads as u64;
-        let mut best_rate = 0f64;
-        let (mut mean_batch, mut max_batch, mut inline) = (0f64, 0u64, 0u64);
-        let (mut drain_ns, mut score_ns, mut publish_ns) = (0u64, 0u64, 0u64);
-        for _ in 0..trials {
-            let tree = ConcurrentBlockTree::new(Ghost::default(), AcceptAll);
-            let done = AtomicBool::new(false);
-            let barrier = Barrier::new(threads + 3);
-            let wall = std::thread::scope(|s| {
-                let mut appenders = Vec::new();
-                for t in 0..threads as u32 {
-                    let (tree, barrier) = (&tree, &barrier);
-                    appenders.push(s.spawn(move || {
-                        barrier.wait();
-                        for i in 0..appends_each {
-                            let nonce = (1u64 << 51) | ((t as u64) << 40) | i;
-                            let _ = tree.append(CandidateBlock::simple(ProcessId(t), nonce));
-                        }
-                    }));
-                }
-                let (tree, barrier, done) = (&tree, &barrier, &done);
-                let forker = s.spawn(move || {
-                    barrier.wait();
-                    let mut seed = 0xF0_4Cu64;
-                    for i in 0..grafts {
-                        seed = seed
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(1442695040888963407);
-                        let chain = tree.read();
-                        let ids = chain.ids();
-                        let parent = ids[(seed >> 33) as usize % ids.len()];
-                        let nonce = (1u64 << 53) | i;
-                        let _ = tree.graft(parent, CandidateBlock::simple(ProcessId(9), nonce));
-                    }
-                });
-                let scanner = s.spawn(move || {
-                    barrier.wait();
-                    let mut acc = 0usize;
-                    while !done.load(AtomicOrdering::Relaxed) {
-                        acc += tree.commit_log().len();
-                    }
-                    std::hint::black_box(acc);
-                });
-                barrier.wait();
-                let start = Instant::now();
-                for h in appenders {
-                    h.join().expect("appender");
-                }
-                let wall = start.elapsed().as_secs_f64();
-                done.store(true, AtomicOrdering::Relaxed);
-                forker.join().expect("forker");
-                scanner.join().expect("scanner");
-                wall
-            });
-            assert_eq!(
-                tree.commit_log().len() as u64,
-                done_appends + grafts,
-                "every append and graft must have committed"
-            );
-            assert_eq!(tree.selected_tip(), tree.selected_tip_full_scan());
-            let stats = tree.pipeline_stats();
-            best_rate = best_rate.max(done_appends as f64 / wall);
-            mean_batch = mean_batch.max(stats.mean_batch());
-            max_batch = max_batch.max(stats.max_batch);
-            inline = inline.max(stats.inline_appends);
-            drain_ns = drain_ns.max(stats.drain_lock_ns);
-            score_ns = score_ns.max(stats.score_ns);
-            publish_ns = publish_ns.max(stats.publish_ns);
-        }
-        let sel_lock_share = drain_ns as f64 / (drain_ns + publish_ns).max(1) as f64;
-        println!(
-            "{:>22} {done_appends:>10} {best_rate:>13.0} {:>10} {:>13} {:>12} {mean_batch:>7.2}",
-            format!("ghost-fork {threads}a+f+s"),
-            format!("{:.2} sl", sel_lock_share),
-            "-",
-            "-"
-        );
-        rows.push(format!(
-            "    {{\"threads\": {threads}, \"label\": \"contended_ghost\", \
-             \"appends\": {done_appends}, \"grafts\": {grafts}, \
-             \"appends_per_sec\": {best_rate:.1}, \"mean_batch\": {mean_batch:.2}, \
-             \"max_batch\": {max_batch}, \"inline_appends\": {inline}, \
-             \"drain_lock_ns\": {drain_ns}, \"score_ns\": {score_ns}, \
-             \"publish_ns\": {publish_ns}, \"sel_lock_share\": {sel_lock_share:.3}}}"
-        ));
-    }
-    // Deep-tree configuration: the same chain grown to `BTADT_BENCH_DEEP`
-    // blocks twice — once with flattening disabled (the PR-5 arena as it
-    // was: every block a spine `Entry` plus a live child list forever),
-    // once with the finality watermark trailing the tip by
-    // `BTADT_BENCH_FINALITY` — and measured on the axes the tiered arena
-    // exists for: ancestry-walk latency from the tip into the finalized
-    // prefix, resident arena bytes, and append throughput with the
-    // flattener running on the commit path. Exactly one populated deep
-    // tree is alive at any moment (phase A drops before phase B builds);
-    // at the release default of one million blocks, keeping both would
-    // double the bench's resident footprint for no measurement benefit.
-    {
-        use btadt_core::commit::FinalityWatermark;
-        use btadt_core::store::BlockView;
-
-        let deep_blocks: u64 = env_size(
-            "BTADT_BENCH_DEEP",
-            if cfg!(debug_assertions) {
-                4_000
-            } else {
-                1_000_000
-            },
-        );
-        let finality_depth = env_size("BTADT_BENCH_FINALITY", 1_024) as u32;
-        let walks: u64 = env_size(
-            "BTADT_BENCH_WALKS",
-            if cfg!(debug_assertions) {
-                2_000
-            } else {
-                50_000
-            },
-        );
-
-        let grow = |watermark: FinalityWatermark| {
-            let tree = ConcurrentBlockTree::with_config(4, watermark, LongestChain, AcceptAll);
-            let start = Instant::now();
-            for i in 0..deep_blocks {
-                let _ = tree.append(CandidateBlock::simple(ProcessId(0), (1u64 << 52) | i));
-            }
-            let rate = deep_blocks as f64 / start.elapsed().as_secs_f64();
-            (tree, rate)
-        };
-        // Random-depth ancestry walks from the tip: the jump-pointer
-        // descent crosses the whole finalized prefix, so this is the
-        // cache-locality metric the slab tier targets.
-        let walk_ns = |store: &btadt_core::concurrent::ShardedStore| {
-            let tip = BlockId(store.block_count() as u32 - 1);
-            let tip_h = store.height(tip) as u64;
-            let mut seed = 0x5EED_D15Cu64;
-            let mut acc = 0u64;
-            let start = Instant::now();
-            for _ in 0..walks {
-                seed = seed
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let h = ((seed >> 33) % (tip_h + 1)) as u32;
-                acc ^= store.ancestor_at(tip, h).0 as u64;
-            }
-            std::hint::black_box(acc);
-            start.elapsed().as_nanos() as f64 / walks as f64
-        };
-
-        let (tree, append_unflat) = grow(FinalityWatermark::disabled());
-        let walk_unflat = walk_ns(tree.store());
-        let arena_peak = tree.store().approx_heap_bytes();
-        drop(tree);
-
-        let (tree, append_flat) = grow(FinalityWatermark::new(finality_depth));
-        // Drain the flattener to its watermark, then drive the grace
-        // period so every retired spine chunk is actually freed before
-        // the resident-bytes reading.
-        while tree.store().flatten_some(4096) > 0 {}
-        tree.store().reclaim_domain().reclaim_quiescent();
-        let walk_flat = walk_ns(tree.store());
-        let arena_final = tree.store().approx_heap_bytes();
-        let flattened = tree.store().flattened_count();
-        let retired_peak = tree.store().reclaim_domain().retired_bytes_peak();
-
-        println!(
-            "{:>22} {deep_blocks:>10} {append_unflat:>13.0} {walks:>10} {:>10.0} ns/walk \
-             {arena_peak:>10} B {:>7}",
-            "deep tree (unflat)", walk_unflat, "-"
-        );
-        println!(
-            "{:>22} {deep_blocks:>10} {append_flat:>13.0} {walks:>10} {:>10.0} ns/walk \
-             {arena_final:>10} B {:>7}",
-            format!("deep tree (d={finality_depth})"),
-            walk_flat,
-            "-"
-        );
-        rows.push(format!(
-            "    {{\"threads\": 1, \"label\": \"deep_tree\", \"blocks\": {deep_blocks}, \
-             \"finality_depth\": {finality_depth}, \
-             \"append_per_sec_unflattened\": {append_unflat:.1}, \
-             \"append_per_sec_flattening\": {append_flat:.1}, \
-             \"walks\": {walks}, \"walk_ns_unflattened\": {walk_unflat:.1}, \
-             \"walk_ns_flattened\": {walk_flat:.1}, \
-             \"arena_bytes_peak\": {arena_peak}, \"arena_bytes_final\": {arena_final}, \
-             \"flattened_blocks\": {flattened}, \"retired_bytes_peak\": {retired_peak}}}"
-        ));
-    }
-
-    // Durable configuration: the same append workload with the WAL on —
-    // every publication fsynced before its appends return
-    // (persist-then-ack). The number to watch is records-per-fsync:
-    // group commit rides the one-publication-per-batch cadence, so the
-    // fsync count tracks publications, not appends. One appender is the
-    // worst case (every append can be its own publication); four
-    // appenders show queue pile-ups amortizing the fsync across a batch.
-    {
-        use btadt_core::commit::FinalityWatermark;
-        use btadt_core::wal::WalConfig;
-
-        let durable_appends: u64 = env_size(
-            "BTADT_BENCH_DURABLE",
-            if cfg!(debug_assertions) {
-                2_000
-            } else {
-                50_000
-            },
-        );
-        for &threads in &[1usize, 4] {
-            let appends_each = durable_appends / threads as u64;
-            let done_appends = appends_each * threads as u64;
-            let mut best_rate = 0f64;
-            let mut stats_at_best = None;
-            for trial in 0..trials {
-                let dir = std::env::temp_dir().join(format!(
-                    "btadt-bench-wal-{}-{threads}-{trial}",
-                    std::process::id()
-                ));
-                let _ = std::fs::remove_dir_all(&dir);
-                let tree = ConcurrentBlockTree::open_durable(
-                    4,
-                    FinalityWatermark::disabled(),
-                    LongestChain,
-                    AcceptAll,
-                    WalConfig::new(&dir),
-                )
-                .expect("bench WAL opens");
-                let barrier = Barrier::new(threads);
-                let wall = std::thread::scope(|s| {
-                    let handles: Vec<_> = (0..threads as u32)
-                        .map(|t| {
-                            let (tree, barrier) = (&tree, &barrier);
-                            s.spawn(move || {
-                                barrier.wait();
-                                let start = Instant::now();
-                                for i in 0..appends_each {
-                                    let nonce = (1u64 << 54) | ((t as u64) << 40) | i;
-                                    let _ =
-                                        tree.append(CandidateBlock::simple(ProcessId(t), nonce));
-                                }
-                                start.elapsed().as_secs_f64()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("appender"))
-                        .fold(0f64, f64::max)
-                });
-                assert_eq!(tree.read().len() as u64, done_appends + 1);
-                let stats = tree.wal_stats().expect("durable tree reports stats");
-                // Seam sanity: these rows run through the default StdVfs,
-                // which must be a pure passthrough — every append logged
-                // exactly once, no injected-failure machinery engaged. A
-                // regression here (missing records, surprise retries or
-                // failure counts on a healthy disk) means the VFS seam
-                // changed the durable path, not just its timing.
-                assert_eq!(
-                    stats.records, done_appends,
-                    "StdVfs seam must log exactly one record per append"
-                );
-                assert!(
-                    stats.checkpoint_failures == 0
-                        && stats.segment_unlink_failures == 0
-                        && stats.rotation_failures == 0
-                        && stats.last_error.is_none(),
-                    "StdVfs seam recorded IO failures on a healthy disk: {stats:?}"
-                );
-                // Group commit's cadence check: stage 2 fsyncs once per
-                // publication (a publication may cover several staged
-                // batches, never the reverse), so the fsync count must
-                // track publications — small slack for segment-rotation
-                // fsyncs riding on top.
-                let publications = tree.commit_generation();
-                assert!(
-                    stats.fsyncs <= publications + publications / 10 + 8
-                        && publications <= stats.fsyncs + stats.fsyncs / 10 + 8,
-                    "wal fsyncs ({}) should track publications ({})",
-                    stats.fsyncs,
-                    publications
-                );
-                let rate = done_appends as f64 / wall;
-                if rate > best_rate {
-                    best_rate = rate;
-                    stats_at_best = Some((stats, publications));
-                }
-                drop(tree);
-                let _ = std::fs::remove_dir_all(&dir);
-            }
-            let (stats, publications) = stats_at_best.expect("at least one trial ran");
-            let per_fsync = stats.records as f64 / stats.fsyncs.max(1) as f64;
-            println!(
-                "{:>22} {done_appends:>10} {best_rate:>13.0} {:>10} {:>13} {:>12} {per_fsync:>7.2}",
-                format!("durable {threads}a (fsync)"),
-                format!("{} fs", stats.fsyncs),
-                "-",
-                "-"
-            );
-            rows.push(format!(
-                "    {{\"threads\": {threads}, \"label\": \"durable\", \
-                 \"appends\": {done_appends}, \"appends_per_sec\": {best_rate:.1}, \
-                 \"wal_records\": {}, \"wal_fsyncs\": {}, \"publications\": {publications}, \
-                 \"records_per_fsync\": {per_fsync:.2}, \"wal_bytes\": {}}}",
-                stats.records, stats.fsyncs, stats.bytes
-            ));
-        }
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"concurrent_append_read\",\n  \
-         \"selection\": \"longest-chain\",\n  \
-         \"optimized\": {},\n  \"cpus\": {},\n  \"trials_per_config\": {trials},\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
-        !cfg!(debug_assertions),
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        rows.join(",\n")
-    );
-    match std::fs::write("BENCH_concurrent.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_concurrent.json"),
-        Err(e) => println!("\ncould not write BENCH_concurrent.json: {e}"),
-    }
-}
-
-/// Bench A — Protocol A end to end: decisions/sec through the
-/// `ConcurrentBlockTree` + Θ_F,k=1 pair vs proposer-thread count, via
-/// `run_consensus_workload` (real threads, chained instances, recorded
-/// histories). Prints a table and emits `BENCH_consensus.json`. Each round
-/// decides one block among N proposers, so decisions/sec is rounds over
-/// the wall clock and proposes/sec is N× that; the readerless config
-/// isolates the decide path, the `+2r` rows add read-side pressure.
-pub fn bench_consensus() {
-    use btadt_sim::mtrun::{run_consensus_workload, ConsensusConfig};
-
-    hr("Bench A — tree-backed consensus (Protocol A): thread scaling");
-    if cfg!(debug_assertions) {
-        println!("note: unoptimized build — run with --release for honest numbers");
-    }
-    let rounds: usize = env_size(
-        "BTADT_BENCH_ROUNDS",
-        if cfg!(debug_assertions) { 50 } else { 2_000 },
-    ) as usize;
-    println!(
-        "{:>16} {:>8} {:>14} {:>14} {:>10}",
-        "configuration", "rounds", "decisions/s", "proposes/s", "coherent"
-    );
-    let mut rows = Vec::new();
-    let trials = env_size("BTADT_BENCH_TRIALS", 3);
-    for &(proposers, readers) in &[(1usize, 0usize), (2, 0), (4, 0), (4, 2), (8, 2)] {
-        let cfg = ConsensusConfig {
-            seed: SEED,
-            proposers,
-            readers,
-            rounds,
-            reads_per_round: if readers == 0 { 0 } else { 8 },
-            rate: None,
-        };
-        // Best-of-trials, like bench-concurrent: scheduler noise dwarfs
-        // the effect under test on small containers. `threads_wall` times
-        // spawn→join only, so post-join evidence assembly (arena
-        // snapshot, history merge) does not deflate the decide-path rate.
-        let mut best_rate = 0f64;
-        let mut coherent = true;
-        for _ in 0..trials {
-            let run = run_consensus_workload(LongestChain, &cfg);
-            let wall = run.threads_wall.as_secs_f64();
-            assert_eq!(run.decisions.len(), rounds, "every round decides");
-            coherent &= run.fork_coherent;
-            best_rate = best_rate.max(rounds as f64 / wall);
-        }
-        let propose_rate = best_rate * proposers as f64;
-        println!(
-            "{:>13}p +{readers}r {rounds:>8} {best_rate:>14.0} {propose_rate:>14.0} {coherent:>10}",
-            proposers
-        );
-        rows.push(format!(
-            "    {{\"proposers\": {proposers}, \"readers\": {readers}, \"rounds\": {rounds}, \
-             \"decisions_per_sec\": {best_rate:.1}, \"proposes_per_sec\": {propose_rate:.1}, \
-             \"fork_coherent\": {coherent}}}"
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"tree_consensus_decide_path\",\n  \
-         \"selection\": \"longest-chain\",\n  \"k\": 1,\n  \
-         \"optimized\": {},\n  \"cpus\": {},\n  \"trials_per_config\": {trials},\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
-        !cfg!(debug_assertions),
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        rows.join(",\n")
-    );
-    match std::fs::write("BENCH_consensus.json", &json) {
-        Ok(()) => println!("\nwrote BENCH_consensus.json"),
-        Err(e) => println!("\ncould not write BENCH_consensus.json: {e}"),
-    }
 }
 
 /// Runs every experiment in paper order.

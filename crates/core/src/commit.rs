@@ -256,8 +256,8 @@ impl CommitQueue {
     }
 }
 
-/// Observability for the staged pipeline (reported by
-/// `experiments bench-concurrent`).
+/// Observability for the staged pipeline (reported by the benchmark's
+/// `concurrent.*` per-layer metrics).
 ///
 /// The `*_ns` counters decompose where commit time goes under the
 /// two-stage pipeline — `drain_lock_ns` is wall time holding the

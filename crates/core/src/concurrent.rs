@@ -8,17 +8,20 @@
 //!
 //! # Architecture
 //!
-//! * **Sharded arena** ([`ShardedStore`]): block data lives in
-//!   `S` lock-sharded slot vectors (shard = low bits of the [`BlockId`],
-//!   which round-robins dense ids perfectly). Ids come from one atomic
-//!   counter; minting writes exactly one shard, so appenders working on
-//!   different blocks do not contend on block data. Jump-pointer
-//!   maintenance and the O(log n) ancestry queries (`ancestor_at`,
-//!   `is_ancestor`, `common_ancestor`) run lock-striped through the
-//!   [`BlockView`] metadata interface — at most one shard read lock held
-//!   at a time, so there is no lock-order cycle. Every shard write bumps a
-//!   per-shard generation counter, which is what lets [`SnapshotCache`]
-//!   extend a sequential snapshot incrementally against a *live* tree.
+//! * **Sharded arena** ([`ShardedStore`]): block data lives in `S`
+//!   shards (shard = low bits of the [`BlockId`], which round-robins dense
+//!   ids perfectly), each a grow-only spine of CAS-installed chunks. Ids
+//!   come from one atomic counter; an entry is written exactly once, by
+//!   the thread that allocated its id, published by a `Release` ready
+//!   flag and immutable afterwards. Metadata reads — `meta`, `with_block`,
+//!   jump-pointer maintenance and the O(log n) ancestry queries
+//!   (`ancestor_at`, `is_ancestor`, `common_ancestor`) through the
+//!   [`BlockView`] interface — are **lock-free**. Only child lists mutate
+//!   after publication; they sit behind a per-shard mutex, and
+//!   `for_each_child` copies a list out before calling back, so no query
+//!   nests two acquisitions. Every mint bumps a per-shard generation
+//!   counter, which is what lets [`SnapshotCache`] extend a sequential
+//!   snapshot incrementally against a *live* tree.
 //! * **Two-stage commit pipeline** (`crate::commit`): tree membership,
 //!   the commit log, and selection scoring still live behind one mutex —
 //!   the linearization point of successful appends — but that critical
@@ -133,7 +136,7 @@ struct Entry {
     jump_h: u32,
     /// `jump`'s own jump target and its height: the skew-binary merge
     /// test compares span lengths two jump levels up, and caching both
-    /// here turns the four shard-lock crossings the generic
+    /// here turns the four cross-shard entry reads the generic
     /// `jump_for_child` needs into at most one extra (merge steps only).
     jump2: BlockId,
     jump2_h: u32,
@@ -298,9 +301,9 @@ impl FlatChunk {
 ///   assumed rare enough that the prefix's *data layout* can be frozen.
 /// * `late_kids` holds children minted under an already-frozen parent
 ///   (the watermark trails the tip by the finality depth, so this is the
-///   reorg tail case). Readers merge them after the frozen list; order
-///   stays minting order because freezing captures the list under the
-///   same lock mints push through.
+///   reorg tail case). Readers merge them into the frozen list in id
+///   order (`extend_with_late_kids`); freezing captures the list under
+///   the same lock mints push through.
 /// * `work` holds, per shard, the index of the first spine chunk not yet
 ///   retired. Chunks are retired in spine order and each exactly once:
 ///   every chunk below a shard's cursor lies wholly below `count` and is
@@ -314,7 +317,7 @@ struct FlatTier {
     /// Exclusive id bound the flattener may advance to (watermark).
     target: AtomicU32,
     /// Children minted under already-flattened parents: parent id → kids
-    /// in minting order.
+    /// in id order.
     late_kids: Mutex<HashMap<u32, Vec<BlockId>>>,
     /// Single-flattener ticket: `try_lock` and do bounded work, or leave.
     /// Holds the per-shard retirement cursors (first unretired spine
@@ -493,10 +496,11 @@ struct Shard {
     /// Chunks are installed by CAS and never moved or freed while the
     /// store lives, so a slot's address is stable from its first write.
     spine: [AtomicPtr<Chunk>; SPINE],
-    /// Forward edges per slot, in minting order — the one piece of
-    /// per-block state that mutates after publication, so it lives under
-    /// a (per-shard) mutex instead of next to the immutable entry. The
-    /// flattener freezes lists out of the front (see [`ChildTable`]).
+    /// Forward edges per slot, id-sorted (see [`insert_sorted`]) — the
+    /// one piece of per-block state that mutates after publication, so it
+    /// lives under a (per-shard) mutex instead of next to the immutable
+    /// entry. The flattener freezes lists out of the front (see
+    /// [`ChildTable`]).
     children: Mutex<ChildTable>,
 }
 
@@ -586,13 +590,15 @@ impl Drop for Shard {
     }
 }
 
-/// A lock-sharded, append-only block arena safe for concurrent minting.
+/// A sharded, append-only block arena safe for concurrent minting.
 ///
 /// Shard selection hashes the [`BlockId`] by its low bits — ids are dense
 /// (one atomic counter), so consecutive mints land on distinct shards.
-/// All read access goes through [`BlockView`]; each query acquires at most
-/// one shard read lock at a time (child lists are copied out before any
-/// callback runs), so queries never deadlock against concurrent minters.
+/// All read access goes through [`BlockView`]. Metadata reads are
+/// lock-free (write-once entries behind a `Release` ready flag); child
+/// lists, the one state that mutates after publication, sit behind a
+/// per-shard mutex and are copied out before any callback runs, so
+/// queries never deadlock against concurrent minters.
 pub struct ShardedStore {
     shards: Box<[Shard]>,
     /// Per-shard write-generation counters: every mint bumps its
@@ -2003,13 +2009,14 @@ pub struct ConcurrentBlockTree<F: SelectionFn, P: ValidityPredicate> {
     /// splice, pointer swap) while holding the publication lock, under
     /// the same timer rule as `stat_drain_ns`.
     stat_publish_ns: AtomicU64,
-    /// A WAL checkpoint claimed under the selection lock but not yet
-    /// written: the O(prefix) record encoding, temp-file write, fsync,
-    /// and rename all run in [`run_pending_checkpoint`] *off* the
-    /// selection lock — parked appenders wake on commit latency, not
-    /// maintenance latency. Lock order: this mutex is only ever taken
-    /// either alone or *inside* `sel` (the stash), never held while
-    /// waiting on `sel`.
+    /// A WAL checkpoint claimed under the publication lock (by
+    /// `maybe_wal_checkpoint`) but not yet written: the O(prefix) record
+    /// encoding, temp-file write, fsync, and rename all run in
+    /// [`run_pending_checkpoint`] *off* both pipeline locks — parked
+    /// appenders wake on commit latency, not maintenance latency. Lock
+    /// order: this mutex is only ever taken either alone (the take) or
+    /// *inside* `publ` (the stash), never held while waiting on another
+    /// lock.
     ///
     /// [`run_pending_checkpoint`]: Self::run_pending_checkpoint
     pending_ckpt: Mutex<Option<PendingCheckpoint>>,

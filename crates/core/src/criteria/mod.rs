@@ -29,7 +29,8 @@
 //!   are exactly those landing in the interval `(r, c]`.
 //!
 //! Experiments use `ConvergenceCut` at a quiescence point (e.g. after the
-//! last message settles); EXPERIMENTS.md states the cut for each run.
+//! last message settles); each run chooses its own cut (the oracle runner
+//! reports a `suggested_cut`).
 
 pub mod block_validity;
 pub mod conjunctions;

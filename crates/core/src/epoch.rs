@@ -219,7 +219,7 @@ pub struct EpochDomain {
     /// Bytes currently parked in bags (as reported by retire callers).
     retired_bytes: AtomicUsize,
     /// High-water mark of `retired_bytes` — the boundedness witness the
-    /// churn stress and `bench-concurrent` report.
+    /// churn stress and the benchmark's `epoch.retired_bytes_peak` report.
     retired_bytes_peak: AtomicUsize,
     /// Items currently parked in bags.
     pending_items: AtomicUsize,

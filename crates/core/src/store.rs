@@ -26,8 +26,8 @@ use crate::ids::{BlockId, ProcessId};
 /// worth of the fields [`BlockView`] implementations memoize at mint time.
 ///
 /// Returning this as one `Copy` value keeps [`BlockView`] object-safe and
-/// lets lock-sharded stores answer a whole ancestry step with a single
-/// shard acquisition instead of one lock round-trip per field.
+/// lets sharded stores answer a whole ancestry step with a single entry
+/// lookup instead of one lookup per field.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BlockMeta {
     /// Backward edge towards genesis (`None` only for `b0`).
@@ -49,7 +49,7 @@ pub struct BlockMeta {
 /// over.
 ///
 /// Two implementations ship: the single-owner [`BlockStore`] and the
-/// lock-sharded [`ShardedStore`](crate::concurrent::ShardedStore) behind
+/// sharded [`ShardedStore`](crate::concurrent::ShardedStore) behind
 /// [`ConcurrentBlockTree`](crate::concurrent::ConcurrentBlockTree). The
 /// trait is object-safe (`&dyn BlockView`) so `SelectionFn` stays a
 /// trait object; `&BlockStore` coerces at every existing call site.
@@ -674,7 +674,7 @@ impl TreeMembership {
     }
 
     /// [`insert`](Self::insert) for a caller that already knows `id`'s
-    /// parent — skips the store lookup (a shard-lock crossing on the
+    /// parent — skips the store lookup (a cross-shard read on the
     /// concurrent store, which the commit hot path calls once per
     /// append). The caller vouches that `parent` *is* `id`'s parent.
     pub fn insert_with_parent(&mut self, parent: Option<BlockId>, id: BlockId) -> bool {

@@ -19,7 +19,7 @@ use std::collections::HashSet;
 /// Receives the candidate block *and* the store (validity may depend on the
 /// chain the block connects to, as in the double-spend example). The store
 /// comes in as a [`BlockView`] so the same predicate gates appends on the
-/// sequential `BlockTree` and the lock-sharded
+/// sequential `BlockTree` and the sharded
 /// [`ConcurrentBlockTree`](crate::concurrent::ConcurrentBlockTree).
 pub trait ValidityPredicate: Sync {
     /// Is `block` in `B'`?

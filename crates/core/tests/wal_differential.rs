@@ -9,7 +9,9 @@
 //!    (no shutdown hook exists, by design: every publication already
 //!    fsynced), recovered, and compared answer-for-answer: commit log,
 //!    selected chain, tip, meta/block, membership-filtered children,
-//!    ancestry/LCA;
+//!    ancestry/LCA — and, before the drop, zero IO-failure counters and
+//!    an exact fsync count on the default `StdVfs` (checked again under
+//!    compaction, case 4);
 //! 2. a torn-tail case: the last segment truncated mid-record must trim
 //!    to the acked prefix, not panic, and keep accepting appends;
 //! 3. recover-then-continue: a recovered tree keeps appending, stays
@@ -167,6 +169,28 @@ fn capture(bt: &Tree, seed: &mut u64) -> Expected {
     }
 }
 
+/// What a fresh durable tree on the default `StdVfs` and a healthy disk
+/// must report: no IO failure of any kind, and every fsync accounted
+/// for — the fresh segment's directory sync, one data fsync per
+/// publication, one sync per segment roll and two per checkpoint. A WAL
+/// that gains an fsync site fails here.
+fn assert_healthy_io(bt: &Tree, ctx: &str) {
+    let stats = bt.wal_stats().expect("durable tree");
+    assert!(
+        stats.checkpoint_failures == 0
+            && stats.segment_unlink_failures == 0
+            && stats.rotation_failures == 0
+            && stats.eintr_retries == 0
+            && stats.last_error.is_none(),
+        "{ctx}: IO failures on a healthy disk: {stats:?}"
+    );
+    assert_eq!(
+        stats.fsyncs,
+        1 + bt.commit_generation() + stats.segments_rolled + 2 * stats.checkpoints,
+        "{ctx}: fsyncs must track publications, rolls and checkpoints: {stats:?}"
+    );
+}
+
 fn assert_matches(bt: &Tree, want: &Expected, ctx: &str) {
     assert_eq!(bt.commit_log(), want.commit_log, "{ctx}: commit log");
     let chain = bt.read_owned();
@@ -212,6 +236,7 @@ fn recovery_is_bit_identical_across_seeds() {
             let stats = bt.wal_stats().expect("durable tree");
             let log = bt.commit_log();
             assert_eq!(stats.records, log.len() as u64, "every commit logged");
+            assert_healthy_io(&bt, &format!("seed {seed0}"));
             capture(&bt, &mut seed)
             // Hard drop — no flush hook exists, and none is needed:
             // every publication already fsynced before any ack.
@@ -339,6 +364,7 @@ fn compaction_drops_segments_without_changing_answers() {
             stats.segments_dropped >= 1,
             "covered segments were deleted: {stats:?}"
         );
+        assert_healthy_io(&bt, "compaction");
         capture(&bt, &mut seed)
     };
     let bt = open_tree(&dir, FinalityWatermark::new(8));

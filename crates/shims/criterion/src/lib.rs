@@ -7,7 +7,7 @@
 //! up, then timed over `sample_size` samples whose iteration counts are
 //! auto-calibrated to a per-sample time budget. Results print as
 //! `name  time: [median]  thrpt: [...]`, close enough to criterion's
-//! format for eyeballing and for the BENCH_* extraction scripts.
+//! format for eyeballing and for line-oriented extraction scripts.
 //!
 //! No statistics beyond min/median/max, no HTML reports, no comparison
 //! against saved baselines.
