@@ -82,7 +82,7 @@ pub mod prelude {
     pub use crate::chain::Blockchain;
     pub use crate::commit::{FinalityWatermark, PipelineStats};
     pub use crate::concurrent::{
-        ChainView, ConcurrentBlockTree, ShardedStore, SnapshotCache, DEFAULT_FINALITY_DEPTH,
+        ChainView, ConcurrentBlockTree, ShardedStore, DEFAULT_FINALITY_DEPTH,
     };
     pub use crate::criteria::{
         check_eventual_consistency, check_strong_consistency, classify, ConsistencyClass,

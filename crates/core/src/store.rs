@@ -200,14 +200,6 @@ pub struct BlockStore {
     /// Skew-binary jump pointers: `jump[i]` is an ancestor of block i whose
     /// distance depends only on `height(i)` (genesis points at itself).
     jump: Vec<BlockId>,
-    /// Placeholder slots adopted *past* a skipped mid-mint id (see
-    /// `SnapshotCache` gap adoption): the id is allocated in the source
-    /// arena but its mint never completed when the snapshot caught up, so
-    /// a hole keeps the id numbering dense without stalling the adoptable
-    /// prefix. Holes have no children, are excluded from `has_block`, and
-    /// are filled in place if the straggler mint completes later.
-    /// Normally empty (`BTreeSet::contains` is gated on a len check).
-    holes: std::collections::BTreeSet<u32>,
 }
 
 impl BlockStore {
@@ -228,7 +220,6 @@ impl BlockStore {
             children: vec![Vec::new()],
             cum_work: vec![0],
             jump: vec![BlockId::GENESIS],
-            holes: std::collections::BTreeSet::new(),
         }
     }
 
@@ -287,10 +278,6 @@ impl BlockStore {
     /// produced by `mint`, so this indicates a cross-store mixup — a bug).
     #[inline]
     pub fn get(&self, id: BlockId) -> &Block {
-        debug_assert!(
-            !self.is_hole(id),
-            "read of hole {id}: the id was skipped mid-mint and never filled"
-        );
         &self.blocks[id.index()]
     }
 
@@ -437,65 +424,6 @@ impl BlockStore {
         self.jump.push(jump);
         self.children[parent.index()].push(id);
     }
-
-    /// Adopts a *placeholder* for the next id: the source arena allocated
-    /// it but the mint never completed (a leapfrogged mid-mint straggler
-    /// or a mint whose `P` panicked). Keeps the id numbering dense so
-    /// adoption can continue past the gap; [`fill_hole`](Self::fill_hole)
-    /// replaces the placeholder if the mint lands later.
-    pub(crate) fn adopt_hole(&mut self) {
-        let id = self.blocks.len() as u32;
-        self.blocks.push(Block {
-            id: BlockId(id),
-            parent: None,
-            height: 0,
-            producer: ProcessId(u32::MAX),
-            merit_index: u32::MAX,
-            work: 0,
-            digest: 0x686F_6C65, // "hole"
-            payload: Payload::Empty,
-        });
-        self.children.push(Vec::new());
-        self.cum_work.push(0);
-        self.jump.push(BlockId(id));
-        self.holes.insert(id);
-    }
-
-    /// Fills a hole with the straggler block that finally completed its
-    /// mint. The parent must already be real (callers fill ascending, and
-    /// a completed child implies its whole ancestor chain completed).
-    /// The parent's child list stays id-sorted — the order adoption
-    /// produces for in-order arrivals.
-    pub(crate) fn fill_hole(&mut self, block: Block) {
-        let id = block.id;
-        assert!(self.holes.remove(&id.0), "fill of non-hole {id}");
-        let parent = block.parent.expect("only non-genesis blocks are adopted");
-        assert!(!self.is_hole(parent), "hole {id} filled before its parent");
-        assert_eq!(block.height, self.height(parent) + 1, "height mismatch");
-        self.cum_work[id.index()] = self.cum_work[parent.index()] + block.work;
-        self.blocks[id.index()] = block;
-        self.jump[id.index()] = jump_for_child(self, parent);
-        let kids = &mut self.children[parent.index()];
-        let pos = kids.partition_point(|&c| c < id);
-        kids.insert(pos, id);
-    }
-
-    /// Whether `id` is a placeholder slot (skipped mid-mint id).
-    #[inline]
-    pub fn is_hole(&self, id: BlockId) -> bool {
-        !self.holes.is_empty() && self.holes.contains(&id.0)
-    }
-
-    /// Number of placeholder slots. Zero on quiescent snapshots.
-    #[inline]
-    pub fn hole_count(&self) -> usize {
-        self.holes.len()
-    }
-
-    /// The hole ids, ascending (owned, so callers may fill while walking).
-    pub(crate) fn hole_ids(&self) -> Vec<u32> {
-        self.holes.iter().copied().collect()
-    }
 }
 
 /// The skew-binary jump pointer (Myers) for a child of `parent`: if the
@@ -525,7 +453,7 @@ impl BlockView for BlockStore {
     }
 
     fn has_block(&self, id: BlockId) -> bool {
-        id.index() < self.blocks.len() && !self.is_hole(id)
+        id.index() < self.blocks.len()
     }
 
     fn meta(&self, id: BlockId) -> BlockMeta {
@@ -828,44 +756,6 @@ mod tests {
         let m = TreeMembership::full(&s);
         assert_eq!(m.len(), 5);
         assert_eq!(m.iter(&s).count(), 5);
-    }
-
-    #[test]
-    fn holes_are_invisible_until_filled() {
-        let mut s = BlockStore::new();
-        let a = s.mint(BlockId::GENESIS, ProcessId(0), 0, 1, 0, Payload::Empty);
-        s.adopt_hole(); // id 2 skipped mid-mint
-        let c = s.mint(a, ProcessId(1), 0, 3, 2, Payload::Empty);
-        let hole = BlockId(2);
-
-        assert_eq!(s.len(), 4);
-        assert_eq!(s.hole_count(), 1);
-        assert!(s.is_hole(hole));
-        assert!(!s.has_block(hole));
-        assert!(s.has_block(c));
-        // The leapfrogging child is fully usable while the gap is open.
-        assert_eq!(s.parent(c), Some(a));
-        assert_eq!(s.ancestor(c, 2), BlockId::GENESIS);
-
-        // The straggler mint finally lands: same id, parent `a`.
-        let digest = Block::compute_digest(s.get(a).digest, ProcessId(2), 9, &Payload::Empty);
-        s.fill_hole(Block {
-            id: hole,
-            parent: Some(a),
-            height: 2,
-            producer: ProcessId(2),
-            merit_index: 1,
-            work: 5,
-            digest,
-            payload: Payload::Empty,
-        });
-
-        assert_eq!(s.hole_count(), 0);
-        assert!(s.has_block(hole));
-        assert_eq!(s.cumulative_work(hole), 6);
-        assert_eq!(s.children(a), &[hole, c], "child list stays id-sorted");
-        assert_eq!(s.ancestor(hole, 2), BlockId::GENESIS);
-        assert_eq!(s.common_ancestor(hole, c), a);
     }
 
     #[test]

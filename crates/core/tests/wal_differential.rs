@@ -5,9 +5,10 @@
 //! tree that wrote it. The suite checks that from the outside:
 //!
 //! 1. a 20-seed differential — a fork-heavy concurrent workload (racing
-//!    appenders plus explicit grafts) on a durable tree, hard-dropped
-//!    (no shutdown hook exists, by design: every publication already
-//!    fsynced), recovered, and compared answer-for-answer: commit log,
+//!    appenders plus explicit grafts) on a durable tree that checkpoints
+//!    every 32 records, hard-dropped (no shutdown hook exists, by design:
+//!    every publication already fsynced), recovered from its checkpoint
+//!    plus the segment tail, and compared answer-for-answer: commit log,
 //!    selected chain, tip, meta/block, membership-filtered children,
 //!    ancestry/LCA — and, before the drop, zero IO-failure counters and
 //!    an exact fsync count on the default `StdVfs` (checked again under
@@ -70,14 +71,12 @@ fn member_children(
 type Tree = ConcurrentBlockTree<LongestChain, AcceptAll>;
 
 fn open_tree(dir: &std::path::Path, watermark: FinalityWatermark) -> Tree {
-    ConcurrentBlockTree::open_durable(
-        4,
-        watermark,
-        LongestChain,
-        AcceptAll,
-        WalConfig::new(dir).segment_bytes(4096),
-    )
-    .expect("WAL opens")
+    open_tree_with(watermark, WalConfig::new(dir).segment_bytes(4096))
+}
+
+fn open_tree_with(watermark: FinalityWatermark, config: WalConfig) -> Tree {
+    ConcurrentBlockTree::open_durable(4, watermark, LongestChain, AcceptAll, config)
+        .expect("WAL opens")
 }
 
 /// Fork-heavy concurrent workload: `threads` appenders racing `append`,
@@ -230,19 +229,35 @@ fn recovery_is_bit_identical_across_seeds() {
     for seed0 in 0..20u64 {
         let dir = tmp_wal_dir("seeds");
         let mut seed = seed0.wrapping_mul(0x9E37_79B9_7F4A_7C15) + 1;
+        // Each seed's ~180 commits stay far below the default checkpoint
+        // interval; at 32 records every seed checkpoints and compacts.
+        let open = || {
+            open_tree_with(
+                FinalityWatermark::disabled(),
+                WalConfig::new(&dir)
+                    .segment_bytes(4096)
+                    .checkpoint_interval(32),
+            )
+        };
+        let ctx = format!("seed {seed0}");
         let want = {
-            let bt = open_tree(&dir, FinalityWatermark::disabled());
+            let bt = open();
             run_workload(&bt, seed0, 3, 60);
             let stats = bt.wal_stats().expect("durable tree");
             let log = bt.commit_log();
             assert_eq!(stats.records, log.len() as u64, "every commit logged");
-            assert_healthy_io(&bt, &format!("seed {seed0}"));
+            assert!(stats.checkpoints >= 1, "{ctx}: checkpointed: {stats:?}");
+            assert!(
+                stats.segments_dropped >= 1,
+                "{ctx}: covered segments were deleted: {stats:?}"
+            );
+            assert_healthy_io(&bt, &ctx);
             capture(&bt, &mut seed)
             // Hard drop — no flush hook exists, and none is needed:
             // every publication already fsynced before any ack.
         };
-        let bt = open_tree(&dir, FinalityWatermark::disabled());
-        assert_matches(&bt, &want, &format!("seed {seed0}"));
+        let bt = open();
+        assert_matches(&bt, &want, &ctx);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
@@ -342,18 +357,14 @@ fn compaction_drops_segments_without_changing_answers() {
     let dir = tmp_wal_dir("compact");
     let mut seed = 11u64;
     let want = {
-        let bt = ConcurrentBlockTree::open_durable(
-            4,
-            // A tight watermark finalizes aggressively, so the
-            // checkpoint cursor advances and compaction actually runs.
+        // A tight watermark finalizes aggressively, so the checkpoint
+        // cursor advances and compaction actually runs.
+        let bt = open_tree_with(
             FinalityWatermark::new(8),
-            LongestChain,
-            AcceptAll,
             WalConfig::new(&dir)
                 .segment_bytes(1024)
                 .checkpoint_interval(64),
-        )
-        .unwrap();
+        );
         for i in 0..600u64 {
             bt.append(CandidateBlock::simple(ProcessId((i % 3) as u32), i))
                 .unwrap();

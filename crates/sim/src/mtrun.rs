@@ -44,7 +44,7 @@
 
 use btadt_core::blocktree::CandidateBlock;
 use btadt_core::chain::Blockchain;
-use btadt_core::commit::{FinalityWatermark, PipelineStats};
+use btadt_core::commit::FinalityWatermark;
 use btadt_core::concurrent::ConcurrentBlockTree;
 use btadt_core::history::{History, Invocation, Response};
 use btadt_core::ids::{splitmix64_at, BlockId, ProcessId, Time};
@@ -114,11 +114,6 @@ pub struct MtRun {
     /// Thm. 3.2 k-fork coherence of the shared oracle, when one gated the
     /// run (`None` for un-mined workloads).
     pub fork_coherent: Option<bool>,
-    /// Commit-pipeline counters at the end of the run: how the appends
-    /// split across the inline and queued paths, and how long the two
-    /// pipeline stages held their locks (`drain_lock_ns` / `score_ns` /
-    /// `publish_ns`).
-    pub pipeline: PipelineStats,
 }
 
 /// One thread's private log entry, merged into the [`History`] after join.
@@ -432,7 +427,6 @@ pub fn run_concurrent_workload<F: SelectionFn>(selection: F, cfg: &MtConfig) -> 
         history,
         appended,
         fork_coherent: oracle.as_ref().map(|o| o.fork_coherent()),
-        pipeline: tree.pipeline_stats(),
     }
 }
 
@@ -668,14 +662,6 @@ pub struct ConsensusRun {
     pub decisions: Vec<BlockId>,
     /// Thm. 3.2 k-fork coherence of the shared oracle after the run.
     pub fork_coherent: bool,
-    /// Wall clock of the threaded phase only (spawn → join): the decide
-    /// path plus reads, *excluding* post-join evidence assembly (arena
-    /// snapshot, log merge, history construction) — what a throughput
-    /// number should divide by.
-    pub threads_wall: std::time::Duration,
-    /// Commit-pipeline counters at the end of the run (inline/queued
-    /// split and the two-stage lock timings).
-    pub pipeline: PipelineStats,
 }
 
 /// Drives `cfg` against a fresh `ConcurrentBlockTree<F, AcceptAll>` +
@@ -722,7 +708,6 @@ pub fn run_consensus_workload<F: SelectionFn>(selection: F, cfg: &ConsensusConfi
     type ProposerLog = (Vec<LoggedOp>, Vec<btadt_registers::ProposeOutcome>);
     let mut proposer_logs: Vec<ProposerLog> = Vec::new();
     let mut reader_logs: Vec<Vec<LoggedOp>> = Vec::new();
-    let threads_started = std::time::Instant::now();
     std::thread::scope(|s| {
         let mut proposers = Vec::new();
         let mut readers = Vec::new();
@@ -814,7 +799,6 @@ pub fn run_consensus_workload<F: SelectionFn>(selection: F, cfg: &ConsensusConfi
             reader_logs.push(h.join().expect("reader threads do not panic"));
         }
     });
-    let threads_wall = threads_started.elapsed();
 
     // Per-round Def. 4.1 reports, proposer order inside each round.
     let mut reports = Vec::with_capacity(cfg.rounds);
@@ -849,7 +833,5 @@ pub fn run_consensus_workload<F: SelectionFn>(selection: F, cfg: &ConsensusConfi
         reports,
         decisions,
         fork_coherent: oracle.fork_coherent(),
-        threads_wall,
-        pipeline: tree.pipeline_stats(),
     }
 }
