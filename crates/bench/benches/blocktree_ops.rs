@@ -4,7 +4,7 @@
 
 use btadt_core::blocktree::{BlockTree, CandidateBlock};
 use btadt_core::chain::Blockchain;
-use btadt_core::ids::{BlockId, ProcessId};
+use btadt_core::ids::{splitmix64_at, BlockId, ProcessId};
 use btadt_core::selection::{Ghost, HeaviestWork, LongestChain, SelectionFn};
 use btadt_core::store::{BlockStore, TreeMembership};
 use btadt_core::validity::AcceptAll;
@@ -140,6 +140,44 @@ fn bench_batch_scoring(c: &mut Criterion) {
     g.finish();
 }
 
+/// The `fork-ghost` shape on a sequential GHOST `BlockTree`: appends at
+/// the selected tip plus one graft per four appends, each under a seeded
+/// block among the last 64 of the selected chain.
+fn ghost_fork_tree(n: u64) -> BlockTree<Ghost, AcceptAll> {
+    let mut bt = BlockTree::new(Ghost::default(), AcceptAll);
+    for i in 0..n {
+        let cand = CandidateBlock::simple(ProcessId((i % 5 == 4) as u32), i);
+        if i % 5 == 4 {
+            let (store, tip) = (bt.store(), bt.selected_tip());
+            let back = (splitmix64_at(0x6057, i) % 64) as u32;
+            let parent = store.ancestor_at(tip, store.height(tip).saturating_sub(back));
+            bt.graft(parent, cand);
+        } else {
+            bt.append(cand);
+        }
+    }
+    bt
+}
+
+/// GHOST insert cost against depth: each iteration grows
+/// [`ghost_fork_tree`] to 10k or 100k blocks, so the time per element is
+/// the mean insert cost over every depth up to n. An insert that walks
+/// to genesis costs about 10× more per element at 100k than at 10k; one
+/// that stops where its fork meets the selected chain costs about the
+/// same, up to the store's own slowdown as it grows (compare
+/// `append_read/incremental`).
+fn bench_ghost_deep(c: &mut Criterion) {
+    let mut g = c.benchmark_group("blocktree/ghost_deep");
+    g.sample_size(10);
+    for &n in &[10_000u64, 100_000] {
+        g.throughput(Throughput::Elements(n));
+        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
+            b.iter(|| black_box(ghost_fork_tree(n).len()));
+        });
+    }
+    g.finish();
+}
+
 fn bench_ancestry(c: &mut Criterion) {
     let mut g = c.benchmark_group("blocktree/ancestry");
     let bt = linear_tree(10_000);
@@ -166,6 +204,7 @@ criterion_group!(
     bench_selection_functions,
     bench_append_read,
     bench_batch_scoring,
+    bench_ghost_deep,
     bench_ancestry
 );
 criterion_main!(benches);

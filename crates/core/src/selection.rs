@@ -21,13 +21,17 @@
 //! an [`AuxPartial`] from immutable per-block metadata alone, and
 //! [`SelectionFn::apply_partial`] folds that into the rule's state and
 //! answers the new tip — one comparison against the memoized incumbent
-//! for the chain rules, a leaf→root weight walk per insert plus one check
-//! per fork for GHOST. Every caller uses the same pair:
+//! for the chain rules. GHOST keeps the selected chain, its *spine*, with
+//! the weight hanging off each spine height (see [`SelectionAux`]): an
+//! insert walks up only until it meets the spine, O(fork length), and
+//! re-selection compares children only at the heights a run attached at,
+//! so an append or a graft near the tip costs the same at any depth.
+//! Every caller uses the same pair:
 //! [`crate::tipcache::ChainCache`] scores one insert at a time, the
 //! concurrent commit episode scores everything it inserted in one pass.
 //! Callers own a [`SelectionAux`] scratch holding whatever per-tree state
-//! a rule maintains (GHOST: subtree weights), which keeps this trait
-//! object-safe and the selection values themselves stateless and
+//! a rule maintains (GHOST: the spine and its weights), which keeps this
+//! trait object-safe and the selection values themselves stateless and
 //! shareable, as the paper requires.
 //!
 //! `apply_partial` may assume:
@@ -46,13 +50,32 @@ use std::cmp::Ordering;
 
 /// Per-tree scratch state for incremental selection, owned by the caller
 /// and threaded through [`SelectionFn::apply_partial`]. Chain rules keep
-/// the incumbent's score here; GHOST maintains its subtree weights.
+/// the incumbent's score here.
+///
+/// GHOST keeps its selected chain, the *spine*, indexed by height, and
+/// splits the subtree weights it descends by along it:
+///
+/// * each spine height has an *attached* weight: the spine block's own
+///   weight plus the subtree weights of its off-spine member children;
+/// * only off-spine blocks carry an explicit subtree weight.
+///
+/// A spine block's subtree weight is then the sum of the attached weights
+/// from its height to the tip, O(distance from the tip), and an insert
+/// updates only the off-spine blocks between it and the spine plus one
+/// attached weight, O(fork length). A reorg writes the abandoned spine
+/// segment's weights out explicitly and re-spines along the winner,
+/// O(reorg length). A fork near genesis therefore still costs O(depth).
 #[derive(Clone, Debug, Default)]
 pub struct SelectionAux {
-    /// GHOST: weight of the membership subtree rooted at each block
-    /// (indexed by arena slot; non-members weigh 0).
+    /// GHOST: subtree weight of each off-spine member block (indexed by
+    /// arena slot; non-members weigh 0, spine blocks' entries are stale).
     subtree_weight: Vec<u64>,
-    /// Whether `subtree_weight` reflects the current tree (rules
+    /// GHOST: the selected chain, genesis first (`spine[h]` is at height
+    /// `h`; the last entry is the selected tip).
+    spine: Vec<BlockId>,
+    /// GHOST: the attached weight of each spine height.
+    attached: Vec<u64>,
+    /// Whether the GHOST state reflects the current tree (rules
     /// initialize lazily on first use).
     ready: bool,
     /// Chain rules: the current tip's memoized score. A block's score
@@ -71,6 +94,8 @@ impl SelectionAux {
     /// Drops any maintained state, forcing re-initialization on next use.
     pub fn reset(&mut self) {
         self.subtree_weight.clear();
+        self.spine.clear();
+        self.attached.clear();
         self.ready = false;
         self.tip_score = None;
     }
@@ -81,11 +106,11 @@ impl SelectionAux {
     }
 
     #[inline]
-    fn add_weight(&mut self, id: BlockId, w: u64) {
+    fn weight_mut(&mut self, id: BlockId) -> &mut u64 {
         if self.subtree_weight.len() <= id.index() {
             self.subtree_weight.resize(id.index() + 1, 0);
         }
-        self.subtree_weight[id.index()] += w;
+        &mut self.subtree_weight[id.index()]
     }
 }
 
@@ -423,59 +448,18 @@ impl Ghost {
         }
     }
 
-    /// Rebuilds `aux`'s subtree weights from scratch (used on first
-    /// incremental call and after a cache reset).
+    /// Rebuilds `aux`'s spine state from scratch (used on the first
+    /// incremental call and after a reset): one-pass subtree weights, a
+    /// spine holding only genesis, with its whole subtree off-spine, and a
+    /// re-spine from there.
     fn init_aux(&self, store: &dyn BlockView, tree: &TreeMembership, aux: &mut SelectionAux) {
         aux.subtree_weight = self.subtree_weights(store, tree);
+        aux.spine = vec![BlockId::GENESIS];
+        aux.attached = vec![aux.weight(BlockId::GENESIS)];
         aux.ready = true;
-    }
-
-    /// The heaviest member child of `cur` under the maintained weights
-    /// (`None` if `cur` is a member leaf). Tie-break: larger digest, same
-    /// as the full scan.
-    fn heaviest_child(
-        &self,
-        store: &dyn BlockView,
-        tree: &TreeMembership,
-        aux: &SelectionAux,
-        cur: BlockId,
-    ) -> Option<BlockId> {
-        let mut best: Option<BlockId> = None;
-        store.for_each_child(cur, &mut |c| {
-            if !tree.contains(c) {
-                return;
-            }
-            best = Some(match best {
-                None => c,
-                Some(b) => match aux.weight(c).cmp(&aux.weight(b)) {
-                    Ordering::Greater => c,
-                    Ordering::Less => b,
-                    Ordering::Equal => {
-                        if store.digest_of(c) > store.digest_of(b) {
-                            c
-                        } else {
-                            b
-                        }
-                    }
-                },
-            });
-        });
-        best
-    }
-
-    /// Greedy descent from `from` to a member leaf under the maintained
-    /// weights.
-    fn descend(
-        &self,
-        store: &dyn BlockView,
-        tree: &TreeMembership,
-        aux: &SelectionAux,
-        mut from: BlockId,
-    ) -> BlockId {
-        while let Some(next) = self.heaviest_child(store, tree, aux, from) {
-            from = next;
+        if let Some(first) = heaviest_child(store, tree, BlockId::GENESIS, |c| aux.weight(c)) {
+            respine(store, tree, aux, 0, first);
         }
-        from
     }
 
     /// Subtree weights for every member block, computed in one reverse pass
@@ -496,6 +480,77 @@ impl Ghost {
         }
         w
     }
+}
+
+/// The member child of `parent` heaviest under `weight` (`None` if
+/// `parent` is a member leaf). Tie-break: larger digest, same as the full
+/// scan.
+fn heaviest_child(
+    store: &dyn BlockView,
+    tree: &TreeMembership,
+    parent: BlockId,
+    weight: impl Fn(BlockId) -> u64,
+) -> Option<BlockId> {
+    let mut best: Option<(u64, BlockId)> = None;
+    store.for_each_child(parent, &mut |c| {
+        if !tree.contains(c) {
+            return;
+        }
+        let w = weight(c);
+        best = match best {
+            Some((bw, b))
+                if w.cmp(&bw)
+                    .then_with(|| store.digest_of(c).cmp(&store.digest_of(b)))
+                    != Ordering::Greater =>
+            {
+                Some((bw, b))
+            }
+            _ => Some((w, c)),
+        };
+    });
+    best.map(|(_, c)| c)
+}
+
+/// Moves the spine's branch at height `h` to the member child `winner`
+/// of `spine[h]`: writes the abandoned segment's subtree weights out
+/// explicitly (suffix sums of its attached weights), then re-spines along
+/// `winner` and the greedy descent below it, whose blocks were off-spine
+/// and so carry explicit weights. O(reorg length). Returns the new tip.
+fn respine(
+    store: &dyn BlockView,
+    tree: &TreeMembership,
+    aux: &mut SelectionAux,
+    h: usize,
+    winner: BlockId,
+) -> BlockId {
+    let mut abandoned = 0;
+    for k in (h + 1..aux.spine.len()).rev() {
+        abandoned += aux.attached[k];
+        let b = aux.spine[k];
+        *aux.weight_mut(b) = abandoned;
+    }
+    let SelectionAux {
+        subtree_weight,
+        spine,
+        attached,
+        ..
+    } = aux;
+    let weight = |c: BlockId| subtree_weight.get(c.index()).copied().unwrap_or(0);
+    spine.truncate(h + 1);
+    attached.truncate(h + 1);
+    // The old spine child joins `spine[h]`'s off-spine children; the
+    // winner leaves them.
+    attached[h] = attached[h] + abandoned - weight(winner);
+    let mut tip = winner;
+    spine.push(tip);
+    while let Some(next) = heaviest_child(store, tree, tip, weight) {
+        spine.push(next);
+        tip = next;
+    }
+    attached.extend(
+        (h + 1..spine.len()).map(|k| weight(spine[k]) - spine.get(k + 1).map_or(0, |&c| weight(c))),
+    );
+    tip
 }
 
 impl SelectionFn for Ghost {
@@ -540,17 +595,20 @@ impl SelectionFn for Ghost {
         )
     }
 
-    /// Incremental GHOST: each insert adds its own weight to every subtree
-    /// on its genesis→block path (an O(depth) leaf→root walk over the
-    /// maintained weights). The greedy descent can only change at a
-    /// *fork*, where an insert's path leaves the old tip's path: elsewhere
-    /// on that path only the chosen child gained weight, and below the
-    /// old side nothing moved. So re-selection takes one O(log n) LCA per
-    /// insert and one child comparison per fork, highest fork first, and
-    /// descends only from the first fork whose heaviest child flipped. If
-    /// none flipped, the old tip stays selected unless inserts extend it:
-    /// the old tip was a member leaf, so a single insert under it is the
-    /// new leaf, and several re-descend from it.
+    /// Incremental GHOST along the spine (see [`SelectionAux`]). Each
+    /// insert adds its own weight to the off-spine blocks between it and
+    /// the spine and to the attached weight of the spine height it meets:
+    /// O(fork length). The greedy descent can only change at such a
+    /// height: elsewhere on the spine only the spine child gained weight.
+    /// So re-selection compares children only at the heights this run
+    /// attached at, in ascending height (nearest genesis first, the order
+    /// the descent meets them), with the spine child weighed as the sum of
+    /// the attached weights below it, and re-spines from the first height
+    /// whose heaviest member child flipped. The tip's height flips as soon
+    /// as the run attached under it: the old tip was a member leaf, so a
+    /// single insert there is the new leaf, and several re-descend. No
+    /// check here is O(tree): the callers cross-check against the full
+    /// scan.
     fn apply_partial(
         &self,
         store: &dyn BlockView,
@@ -560,48 +618,69 @@ impl SelectionFn for Ghost {
         current_tip: BlockId,
     ) -> BlockId {
         if !aux.ready {
-            // First pass on this tree: the rebuild sees the inserts'
-            // weights already, nothing to add on top.
+            // First pass on this tree: the rebuild sees the inserts
+            // already and descends the whole tree.
             self.init_aux(store, tree, aux);
-        } else {
-            for &(id, w) in partial.weights() {
-                let mut cur = Some(id);
-                while let Some(b) = cur {
-                    aux.add_weight(b, w);
-                    cur = store.parent(b);
+            return *aux.spine.last().expect("the spine starts at genesis");
+        }
+        debug_assert_eq!(
+            aux.spine.last(),
+            Some(&current_tip),
+            "the aux belongs to another tree or tip"
+        );
+        let tip_height = aux.spine.len() - 1;
+        let mut heights = Vec::with_capacity(partial.weights().len());
+        let (mut under_tip, mut leaf) = (0, current_tip);
+        for &(id, w) in partial.weights() {
+            let mut cur = id;
+            let h = loop {
+                let m = store.meta(cur);
+                let h = m.height as usize;
+                if aux.spine.get(h) == Some(&cur) {
+                    break h;
                 }
-            }
-        }
-        let mut forks: Vec<(u32, BlockId)> = Vec::new();
-        let (mut extensions, mut leaf) = (0, current_tip);
-        for &(id, _) in partial.weights() {
-            let fork = store.common_ancestor(current_tip, id);
-            if fork == current_tip {
-                extensions += 1;
+                *aux.weight_mut(cur) += w;
+                cur = m.parent.expect("genesis is on the spine");
+            };
+            aux.attached[h] += w;
+            if h == tip_height {
+                under_tip += 1;
                 leaf = id;
-            } else {
-                forks.push((store.height(fork), fork));
             }
+            heights.push(h);
         }
-        forks.sort_unstable();
-        forks.dedup();
-        for (h, fork) in forks {
-            let incumbent = store.ancestor_at(current_tip, h + 1);
-            let winner = self
-                .heaviest_child(store, tree, aux, fork)
-                .expect("a fork has member children on both paths");
-            if winner != incumbent {
-                return self.descend(store, tree, aux, winner);
-            }
-        }
-        match extensions {
-            0 => current_tip,
-            1 => {
+        heights.sort_unstable();
+        heights.dedup();
+        let Some(&lowest) = heights.first() else {
+            return current_tip;
+        };
+        // `below` is the subtree weight of `spine[checked + 1]`.
+        let mut below: u64 = aux.attached[lowest + 1..].iter().sum();
+        let mut checked = lowest;
+        for h in heights {
+            below -= aux.attached[checked + 1..=h].iter().sum::<u64>();
+            checked = h;
+            if h == tip_height && under_tip == 1 {
                 debug_assert_eq!(store.parent(leaf), Some(current_tip));
-                leaf
+                let w = aux.weight(leaf);
+                aux.attached[h] -= w;
+                aux.attached.push(w);
+                aux.spine.push(leaf);
+                return leaf;
             }
-            _ => self.descend(store, tree, aux, current_tip),
+            let incumbent = aux.spine.get(h + 1).copied();
+            let winner = heaviest_child(store, tree, aux.spine[h], |c| {
+                if Some(c) == incumbent {
+                    below
+                } else {
+                    aux.weight(c)
+                }
+            });
+            if let Some(winner) = winner.filter(|&c| Some(c) != incumbent) {
+                return respine(store, tree, aux, h, winner);
+            }
         }
+        current_tip
     }
 
     fn name(&self) -> &'static str {

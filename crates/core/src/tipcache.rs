@@ -7,8 +7,9 @@
 //! * the **tip** of `f(bt)`, maintained by scoring each insert through
 //!   [`SelectionFn::score_inserts`] + [`SelectionFn::apply_partial`]
 //!   instead of an O(tree) rescan — O(log n) per insert for the chain
-//!   rules, O(depth of the inserted block) for GHOST (its weight update
-//!   walks leaf→root);
+//!   rules; for GHOST, the insert's walk up to the selected chain plus
+//!   the suffix of that chain below the fork (O(1) for an append, O(fork
+//!   length + distance from the tip) for a graft or reorg);
 //! * the **chain** `{b0}⌢f(bt)` itself, as a [`Blockchain`] over a shared
 //!   grow-only buffer: extension pushes in place (amortized O(1)),
 //!   reorgs splice at the fork (O(log n) LCA + O(changed suffix)), and

@@ -18,14 +18,15 @@
 //!
 //! Combined, the two scenarios exceed 1000 distinct random sequences.
 
-use btadt_core::block::Payload;
+use btadt_core::block::{Block, Payload};
 use btadt_core::chain::Blockchain;
 use btadt_core::ids::{splitmix64_at, BlockId, ProcessId};
 use btadt_core::selection::{
     Ghost, GhostWeight, HeaviestWork, LongestChain, SelectionAux, SelectionFn,
 };
-use btadt_core::store::{BlockStore, TreeMembership};
+use btadt_core::store::{BlockMeta, BlockStore, BlockView, TreeMembership};
 use btadt_core::tipcache::ChainCache;
+use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 
 fn rules() -> Vec<(&'static str, Box<dyn SelectionFn>)> {
     vec![
@@ -443,6 +444,21 @@ fn assert_batched_matches_serial(
     batches: &[Vec<BlockId>],
     ctx: &str,
 ) {
+    assert_batched_matches_serial_across_resets(rule, store, batches, &[], ctx);
+}
+
+/// [`assert_batched_matches_serial`] whose batched run drops its aux after
+/// each batch listed in `resets` and re-derives its tip with the full
+/// scan, as `rescue_and_stage` and `ChainCache::rebuild` do, so the next
+/// pass rebuilds the aux from the tree as it stands. The serial fold never
+/// resets: both must still land on the full scan after every batch.
+fn assert_batched_matches_serial_across_resets(
+    rule: &dyn SelectionFn,
+    store: &BlockStore,
+    batches: &[Vec<BlockId>],
+    resets: &[usize],
+    ctx: &str,
+) {
     let mut tree = TreeMembership::genesis_only();
     let mut aux = SelectionAux::new();
     let mut tip = BlockId::GENESIS;
@@ -471,6 +487,10 @@ fn assert_batched_matches_serial(
             tip, oracle,
             "{ctx} batch {batch_no}: batched tip diverged from the full scan"
         );
+        if resets.contains(&batch_no) {
+            aux.reset();
+            tip = oracle;
+        }
     }
 }
 
@@ -541,6 +561,341 @@ fn ghost_deep_reorgs_match_serial_fold() {
             }
         }
         assert_batched_matches_serial(&rule, &store, &batches, &format!("{weight:?}"));
+    }
+}
+
+/// Mints the trees the GHOST reset tests feed: seeded work, unique
+/// nonces, and the batches in feeding order. `tree` holds what was fed so
+/// far, for full-scan checks while building.
+struct Grower {
+    store: BlockStore,
+    tree: TreeMembership,
+    batches: Vec<Vec<BlockId>>,
+    seed: u64,
+    step: u64,
+}
+
+impl Grower {
+    fn new(seed: u64) -> Self {
+        Grower {
+            store: BlockStore::new(),
+            tree: TreeMembership::genesis_only(),
+            batches: Vec::new(),
+            seed,
+            step: 0,
+        }
+    }
+
+    /// Mints a block under `parent`; it is not a member until fed.
+    fn mint(&mut self, parent: BlockId, work: u64) -> BlockId {
+        self.step += 1;
+        self.store
+            .mint(parent, ProcessId(0), 0, work, self.step, Payload::Empty)
+    }
+
+    /// Mints a block of seeded work 1..=4 at the end of `branch`.
+    fn extend(&mut self, branch: &mut Vec<BlockId>) -> BlockId {
+        let work = 1 + splitmix64_at(self.seed ^ 0x3057, self.step) % 4;
+        let b = self.mint(*branch.last().unwrap(), work);
+        branch.push(b);
+        b
+    }
+
+    fn feed(&mut self, batch: Vec<BlockId>) {
+        for &b in &batch {
+            self.tree.insert(&self.store, b);
+        }
+        self.batches.push(batch);
+    }
+
+    /// Extends `branch` by `n` blocks, fed in seeded batches of 1..=6.
+    fn grow(&mut self, branch: &mut Vec<BlockId>, mut n: usize) {
+        while n > 0 {
+            let want = 1 + (splitmix64_at(self.seed ^ 0xC4A2, self.batches.len() as u64) % 6);
+            let want = (want as usize).min(n);
+            let batch = (0..want).map(|_| self.extend(branch)).collect();
+            self.feed(batch);
+            n -= want;
+        }
+    }
+
+    /// Hangs a branch of `len` blocks under `main[at]` for each
+    /// `(at, len)`; returns them, fork point first.
+    fn hang(&mut self, main: &[BlockId], at: &[(usize, usize)]) -> Vec<Vec<BlockId>> {
+        at.iter()
+            .map(|&(h, len)| {
+                let mut branch = vec![main[h]];
+                self.grow(&mut branch, len);
+                branch
+            })
+            .collect()
+    }
+
+    fn last_batch(&self) -> usize {
+        self.batches.len() - 1
+    }
+
+    fn selected(&self, rule: &Ghost) -> BlockId {
+        rule.select_tip(&self.store, &self.tree)
+    }
+
+    /// GHOST's weight of the member subtree under `root`, recounted.
+    fn subtree_weight(&self, rule: &Ghost, root: BlockId) -> u64 {
+        self.store
+            .ids()
+            .filter(|&b| self.tree.contains(b) && self.store.is_ancestor(root, b))
+            .map(|b| match rule.weight {
+                GhostWeight::BlockCount => 1,
+                GhostWeight::Work => self.store.work_of(b).max(1),
+            })
+            .sum()
+    }
+
+    /// Grows a rival under `main[at]` to exactly the weight of
+    /// `main[at + 1]`'s subtree, fed in batches of up to 3. Its first
+    /// block's digest compares `side` against `main[at + 1]`'s (minted
+    /// candidates that miss stay non-members). Returns the rival, fork
+    /// point first.
+    fn tie_rival(
+        &mut self,
+        rule: &Ghost,
+        main: &[BlockId],
+        at: usize,
+        side: std::cmp::Ordering,
+    ) -> Vec<BlockId> {
+        let incumbent = main[at + 1];
+        let mut gap = self.subtree_weight(rule, incumbent);
+        let first = loop {
+            let c = self.mint(main[at], 1);
+            if self
+                .store
+                .digest_of(c)
+                .cmp(&self.store.digest_of(incumbent))
+                == side
+            {
+                break c;
+            }
+        };
+        gap -= 1;
+        let mut rival = vec![main[at], first];
+        let mut batch = vec![first];
+        while gap > 0 {
+            let work = (1 + splitmix64_at(self.seed ^ 0x71E, self.step) % 4).min(gap);
+            gap -= match rule.weight {
+                GhostWeight::BlockCount => 1,
+                GhostWeight::Work => work,
+            };
+            batch.push(self.mint(*rival.last().unwrap(), work));
+            rival.push(*batch.last().unwrap());
+            if batch.len() == 3 {
+                self.feed(std::mem::take(&mut batch));
+            }
+        }
+        if !batch.is_empty() {
+            self.feed(batch);
+        }
+        assert_eq!(
+            self.subtree_weight(rule, rival[1]),
+            self.subtree_weight(rule, incumbent),
+            "the rival must tie"
+        );
+        rival
+    }
+}
+
+/// An aux rebuilt mid-stream must carry on exactly like one that never
+/// was, through a reorg whose new spine passes a nested fork. The tree: a
+/// 400-block chain with lighter branches hanging at heights 50, 150, 250
+/// and 330. A fork nested 10 blocks into the lowest branch then grows,
+/// with the chain growing beside it, until the full scan selects it, so
+/// the spine leaves the chain at height 50 and turns off that branch at
+/// height 60; then the chain grows until it is selected again. The
+/// batched run resets once the branches hang off the deep tip, halfway
+/// through the nested fork's growth, and right after each flip.
+#[test]
+fn ghost_reset_then_nested_fork_reorg_matches_serial_fold() {
+    for weight in [GhostWeight::BlockCount, GhostWeight::Work] {
+        let rule = Ghost { weight };
+        let mut g = Grower::new(0x7E57 ^ weight as u64);
+        let mut main = vec![BlockId::GENESIS];
+        g.grow(&mut main, 400);
+        let branches = g.hang(&main, &[(50, 40), (150, 30), (250, 20), (330, 10)]);
+        assert_eq!(g.selected(&rule), *main.last().unwrap());
+        let mut resets = vec![g.last_batch()];
+        let mut nested = vec![branches[0][10]];
+        let (mut flips, mut on_nested, mut midway) = (0, false, false);
+        // Mixed batches of 2..=6: one block of the branch not favoured,
+        // the rest on the favoured one, as in the deep-reorg test above.
+        while flips < 2 {
+            assert!(
+                g.batches.len() < 5_000,
+                "{weight:?}: the reorgs never happened"
+            );
+            let want = 2 + splitmix64_at(g.seed ^ 0x5EED, g.batches.len() as u64) % 5;
+            let batch = (0..want)
+                .map(|i| {
+                    let to_nested = on_nested == (i == 0);
+                    g.extend(if to_nested { &mut nested } else { &mut main })
+                })
+                .collect();
+            g.feed(batch);
+            if !midway && nested.len() > 150 {
+                midway = true;
+                resets.push(g.last_batch());
+            }
+            let selected_nested = g.store.is_ancestor(nested[1], g.selected(&rule));
+            if selected_nested != on_nested {
+                on_nested = selected_nested;
+                flips += 1;
+                resets.push(g.last_batch());
+            }
+        }
+        assert!(
+            midway,
+            "{weight:?}: the nested fork won before the midway reset"
+        );
+        assert_batched_matches_serial_across_resets(
+            &rule,
+            &g.store,
+            &g.batches,
+            &resets,
+            &format!("nested fork {weight:?}"),
+        );
+    }
+}
+
+/// Ties after a reset: two member children of a spine block weigh the
+/// same, so the larger digest decides. On a 300-block chain with lighter
+/// branches hanging at heights 60, 140 and 220, a rival grows under
+/// `main[250]` to exactly the weight of `main[251]`'s subtree, but with
+/// the smaller digest, so the chain keeps the spine; then a rival with the
+/// larger digest ties `main[201]`'s subtree and takes it. The chain and
+/// that rival then extend by equal weights in turn, so the spine flips on
+/// every tie. Last, a rival with the larger digest ties `main[101]`'s
+/// subtree, whose weight runs through the reorged spine. The batched run
+/// resets once the branches hang and right after the first tie.
+#[test]
+fn ghost_reset_then_digest_ties_match_serial_fold() {
+    use std::cmp::Ordering::{Greater, Less};
+    for weight in [GhostWeight::BlockCount, GhostWeight::Work] {
+        let rule = Ghost { weight };
+        let mut g = Grower::new(0x71E5 ^ weight as u64);
+        let mut main = vec![BlockId::GENESIS];
+        g.grow(&mut main, 300);
+        g.hang(&main, &[(60, 20), (140, 15), (220, 10)]);
+        let mut resets = vec![g.last_batch()];
+        g.tie_rival(&rule, &main, 250, Less);
+        assert_eq!(g.selected(&rule), *main.last().unwrap(), "{weight:?}");
+        resets.push(g.last_batch());
+        let mut rival = g.tie_rival(&rule, &main, 200, Greater);
+        assert_eq!(g.selected(&rule), *rival.last().unwrap(), "{weight:?}");
+        for round in 0..4u64 {
+            let work = 1 + splitmix64_at(g.seed ^ 0xA17, round) % 4;
+            // The chain pulls ahead, then the rival ties and wins again.
+            for branch in [&mut main, &mut rival] {
+                let b = g.mint(*branch.last().unwrap(), work);
+                branch.push(b);
+                g.feed(vec![b]);
+                assert_eq!(g.selected(&rule), b, "{weight:?} round {round}");
+            }
+        }
+        // A tie below that reorg weighs the spine child through it.
+        let low = g.tie_rival(&rule, &main, 100, Greater);
+        assert_eq!(g.selected(&rule), *low.last().unwrap(), "{weight:?}");
+        assert_batched_matches_serial_across_resets(
+            &rule,
+            &g.store,
+            &g.batches,
+            &resets,
+            &format!("digest ties {weight:?}"),
+        );
+    }
+}
+
+/// `BlockStore` behind only the five required `BlockView` methods,
+/// counting `meta` reads. Every provided method (`parent`, `height`,
+/// `ancestor_at`, …) reads through `meta`, so the count is the block
+/// metadata a call touches.
+struct MetaCounter<'a> {
+    store: &'a BlockStore,
+    metas: AtomicUsize,
+}
+
+impl BlockView for MetaCounter<'_> {
+    fn block_count(&self) -> usize {
+        BlockView::block_count(self.store)
+    }
+
+    fn has_block(&self, id: BlockId) -> bool {
+        BlockView::has_block(self.store, id)
+    }
+
+    fn meta(&self, id: BlockId) -> BlockMeta {
+        self.metas.fetch_add(1, AtomicOrdering::Relaxed);
+        BlockView::meta(self.store, id)
+    }
+
+    fn with_block(&self, id: BlockId, f: &mut dyn FnMut(&Block)) {
+        BlockView::with_block(self.store, id, f)
+    }
+
+    fn for_each_child(&self, id: BlockId, f: &mut dyn FnMut(BlockId)) {
+        BlockView::for_each_child(self.store, id, f)
+    }
+}
+
+/// GHOST's per-insert cost follows the fork, not the depth. On the
+/// benchmark's `fork-ghost` shape (appends at the selected tip, and one
+/// graft in five under a seeded block among the last 64 of the selected
+/// chain), a 20,000-block tree is grown through the incremental path,
+/// then 1,000 more single inserts are scored, and none of their
+/// `apply_partial` calls may read more than 2,000 block metas. A walk to
+/// genesis reads one per height, over 16,000 here. Counted, not timed, so
+/// it holds in debug builds too.
+#[test]
+fn ghost_insert_cost_follows_the_fork_not_the_depth() {
+    const WARM: u64 = 20_000;
+    const MEASURED: u64 = 1_000;
+    const BOUND: usize = 2_000;
+    for weight in [GhostWeight::BlockCount, GhostWeight::Work] {
+        let rule = Ghost { weight };
+        let seed = 0xF06 ^ weight as u64;
+        let mut store = BlockStore::new();
+        let mut tree = TreeMembership::genesis_only();
+        let mut aux = SelectionAux::new();
+        let mut tip = BlockId::GENESIS;
+        let mut worst = 0;
+        for step in 0..WARM + MEASURED {
+            let parent = if step % 5 == 4 {
+                let back = (splitmix64_at(seed, step) % 64) as u32;
+                store.ancestor_at(tip, store.height(tip).saturating_sub(back))
+            } else {
+                tip
+            };
+            let work = 1 + splitmix64_at(seed ^ 0x3058, step) % 4;
+            let producer = ProcessId((step % 5 == 4) as u32);
+            let id = store.mint(parent, producer, 0, work, step, Payload::Empty);
+            tree.insert(&store, id);
+            let partial = rule.score_inserts(&store, &[id]);
+            let view = MetaCounter {
+                store: &store,
+                metas: AtomicUsize::new(0),
+            };
+            tip = rule.apply_partial(&view, &tree, &mut aux, &partial, tip);
+            if step >= WARM {
+                worst = worst.max(view.metas.into_inner());
+            }
+        }
+        assert_eq!(tip, rule.select_tip(&store, &tree), "{weight:?}");
+        assert!(
+            store.height(tip) > 16_000,
+            "{weight:?}: the tree should be deep, tip at {}",
+            store.height(tip)
+        );
+        assert!(
+            worst <= BOUND,
+            "{weight:?}: one insert read {worst} metas (bound {BOUND})"
+        );
     }
 }
 

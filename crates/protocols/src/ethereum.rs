@@ -13,9 +13,10 @@
 //! * the block interval : delivery-delay ratio is more aggressive, so
 //!   forks ("uncles") are more frequent — which is exactly the regime
 //!   GHOST was designed for. Each replica maintains GHOST's subtree
-//!   weights incrementally (`SelectionFn::apply_partial` updates the
-//!   leaf→root path per applied block), so the uncle-heavy regime does
-//!   not degrade per-delivery selection to a full-tree weight rebuild.
+//!   weights incrementally along its selected chain
+//!   (`SelectionFn::apply_partial` walks an applied block up only until
+//!   it meets that chain), so an uncle costs its distance from the tip,
+//!   not a full-tree weight rebuild or a walk to genesis.
 
 use crate::bitcoin::NakamotoMiner;
 use crate::common::{standard_run, RunSchedule, SystemRun};

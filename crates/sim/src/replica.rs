@@ -12,9 +12,10 @@
 //!
 //! Each replica also owns a [`ChainCache`]: `update_i` re-selects
 //! incrementally as blocks take effect, scoring each through
-//! [`SelectionFn::score_inserts`] + [`SelectionFn::apply_partial`], so the
-//! per-delivery cost is amortized O(1)/O(log n) instead of a full
-//! `f(bt_i)` rescan, and `read`/`tip` are O(1). The cache requires every
+//! [`SelectionFn::score_inserts`] + [`SelectionFn::apply_partial`], so a
+//! delivery costs O(log n) for the chain rules, and for GHOST its fork's
+//! length plus its distance from the tip, instead of a full `f(bt_i)`
+//! rescan; `read`/`tip` are O(1). The cache requires every
 //! `update` to be driven by the *same* selection function `f` — which the
 //! paper guarantees ("encoded in the state", common to all replicas of a
 //! world).
